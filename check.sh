@@ -446,4 +446,24 @@ if grep -q "REGRESSION" "$workdir/fleetfig.txt"; then
 fi
 echo "fleet-pressure figure: budget held, open loop, neighbour stall visible"
 
+echo "== host-time benchmark: declarations parse, one smoke run is correct"
+# The declared benchmark and its committed baseline record must parse
+# and name the same four workloads; one short run must pass every check
+# the benchmark makes of itself. Only correctness is asserted here —
+# host timings vary with the machine and are never gated.
+python3 - <<'PY' || { echo "FAIL: BENCHMARK.json / perfbench/BENCH_baseline.json malformed" >&2; exit 1; }
+import json
+want = {"batch-gcc", "trace-gen", "trace-oracle", "fleet-budget"}
+declared = {w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]}
+recorded = set(json.load(open("perfbench/BENCH_baseline.json"))["workloads"])
+assert declared == want, declared
+assert recorded == want, recorded
+PY
+bash perfbench/run.sh --workload batch-gcc --seconds 1 --trace 0 \
+  >"$workdir/perfbench.txt" 2>"$workdir/perfbench.err" \
+  || { cat "$workdir/perfbench.err" >&2; echo "FAIL: perfbench smoke run exited nonzero" >&2; exit 1; }
+tail -1 "$workdir/perfbench.txt" | grep -q '^{"correct": true,' \
+  || { tail -3 "$workdir/perfbench.txt" >&2; echo "FAIL: perfbench smoke run failed its own checks" >&2; exit 1; }
+echo "benchmark declarations name all four workloads; batch-gcc smoke run correct"
+
 echo "== all checks passed"

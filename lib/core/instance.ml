@@ -304,36 +304,9 @@ let record_par t (stats : Parsweep.stats) =
           ())
       stats.Parsweep.seeded_bytes
 
-(* Worker-side page scan: the exact heap-range words of one page, as a
-   private array. Two passes (count, then fill) so the buffer is sized
-   exactly — the common page has no hits and allocates the shared empty
-   array only. *)
-let empty_hits : int array = [||]
-
-let page_hits bytes ~wilderness =
-  let words = page / word in
-  let n = ref 0 in
-  for k = 0 to words - 1 do
-    let w = Int64.to_int (Bytes.get_int64_le bytes (k * word)) in
-    if w >= Layout.heap_base && w < wilderness then incr n
-  done;
-  if !n = 0 then empty_hits
-  else begin
-    let hits = Array.make !n 0 in
-    let i = ref 0 in
-    for k = 0 to words - 1 do
-      let w = Int64.to_int (Bytes.get_int64_le bytes (k * word)) in
-      if w >= Layout.heap_base && w < wilderness then begin
-        hits.(!i) <- w;
-        incr i
-      end
-    done;
-    hits
-  end
-
 (* Full scan as a Mark/Merge stage pair, unified over every domain
    count. The Mark stage has the workers compute per-page hit arrays
-   over a canonical (base-sorted, zero-copy) snapshot — at domains = 1
+   over a canonical (ascending, zero-copy) snapshot — at domains = 1
    the chunk map runs inline on the calling domain, same structure, no
    pool. The Merge stage then walks the chunks in chunk-id order: emits
    the Mark_page events, writes the shadow map and counts swept bytes.
@@ -352,7 +325,10 @@ let run_full_scan t =
   let chunks = Parsweep.shard pages in
   let scan (ch : Parsweep.chunk) =
     Array.map
-      (fun (p : Parsweep.page) -> page_hits p.Parsweep.bytes ~wilderness)
+      (fun (p : Parsweep.page) ->
+        (* The page's exact heap-range words, as a private array: the
+           scan shares no scratch state between worker domains. *)
+        Vmem.frame_words p.Parsweep.bytes ~lo:Layout.heap_base ~hi:wilderness)
       ch.Parsweep.pages
   in
   let mark_report, (per_chunk, stats) =
@@ -399,15 +375,23 @@ let run_full_scan t =
    between sweeps, so a summary filtered by today's wilderness would miss
    pointers into tomorrow's heap. Filtering happens at mark time. *)
 let summarize_page bytes =
-  let acc = ref [] in
-  let words = page / word in
-  for k = words - 1 downto 0 do
-    let w = Int64.to_int (Bytes.get_int64_le bytes (k * word)) in
-    if w >= Layout.heap_base && w < Layout.heap_limit then acc := w :: !acc
-  done;
-  match !acc with
-  | [] -> [||]
-  | l -> Array.of_list (List.sort_uniq compare l)
+  let targets =
+    Vmem.frame_words bytes ~lo:Layout.heap_base ~hi:Layout.heap_limit
+  in
+  let n = Array.length targets in
+  if n <= 1 then targets
+  else begin
+    Array.sort (fun (a : int) b -> compare a b) targets;
+    (* Dedup the sorted run in place. *)
+    let kept = ref 1 in
+    for i = 1 to n - 1 do
+      if targets.(i) <> targets.(!kept - 1) then begin
+        targets.(!kept) <- targets.(i);
+        incr kept
+      end
+    done;
+    if !kept = n then targets else Array.sub targets 0 !kept
+  end
 
 (* Incremental marking as a Mark/Merge stage pair, unified over every
    domain count: rescan only pages written (or zeroed, decommitted,

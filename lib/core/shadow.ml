@@ -1,9 +1,12 @@
 let page_size = Vmem.page_size
 
+(* The directory's empty slot: a page with no marks has no bitmap. *)
+let unmarked = Bytes.create 0
+
 type t = {
   granule : int;
   bitmap_bytes : int;
-  mutable pages : (int, Bytes.t) Hashtbl.t;
+  pages : Bytes.t Pagedir.t; (* page index -> mark bitmap *)
 }
 
 let create ?(granule = Vmem.granule) () =
@@ -11,48 +14,69 @@ let create ?(granule = Vmem.granule) () =
   {
     granule;
     bitmap_bytes = page_size / granule / 8;
-    pages = Hashtbl.create 1024;
+    pages = Pagedir.create ~absent:unmarked;
   }
 
 let granule t = t.granule
 
-let clear t = t.pages <- Hashtbl.create (Hashtbl.length t.pages)
+let clear t = Pagedir.clear t.pages
 
 let mark t p =
   assert (Layout.in_heap p);
   let page = p / page_size in
   let bitmap =
-    match Hashtbl.find_opt t.pages page with
-    | Some b -> b
-    | None ->
+    match Pagedir.find t.pages page with
+    | b when b == unmarked ->
       let b = Bytes.make t.bitmap_bytes '\000' in
-      Hashtbl.replace t.pages page b;
+      Pagedir.set t.pages page b;
       b
+    | b -> b
   in
   let g = p mod page_size / t.granule in
   let byte = g / 8 and bit = g mod 8 in
   Bytes.unsafe_set bitmap byte
-    (Char.chr (Char.code (Bytes.unsafe_get bitmap byte) lor (1 lsl bit)))
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get bitmap byte) lor (1 lsl bit)))
+
+let bit_set bitmap g =
+  Char.code (Bytes.unsafe_get bitmap (g lsr 3)) land (1 lsl (g land 7)) <> 0
 
 let is_marked t p =
-  match Hashtbl.find_opt t.pages (p / page_size) with
-  | None -> false
-  | Some bitmap ->
-    let g = p mod page_size / t.granule in
-    Char.code (Bytes.unsafe_get bitmap (g / 8)) land (1 lsl (g mod 8)) <> 0
+  match Pagedir.find t.pages (p / page_size) with
+  | b when b == unmarked -> false
+  | bitmap -> bit_set bitmap (p mod page_size / t.granule)
 
+(* Any mark among granules [lo, hi] of one page's bitmap: whole bytes
+   where the range covers them, single bits at the ragged ends. *)
+let rec any_marked bitmap lo hi =
+  lo <= hi
+  &&
+  if lo land 7 = 0 && lo + 7 <= hi then
+    Bytes.unsafe_get bitmap (lo lsr 3) <> '\000'
+    || any_marked bitmap (lo + 8) hi
+  else bit_set bitmap lo || any_marked bitmap (lo + 1) hi
+
+(* Every granule from the one holding [addr] up to the one holding the
+   last byte, one bitmap lookup per page the range touches. *)
 let range_marked t ~addr ~len =
   assert (len > 0);
-  (* Check every granule the range intersects; granule-sized steps from
-     the aligned start. *)
   let granule = t.granule in
-  let first = addr - (addr mod granule) in
-  let rec check p = p < addr + len && (is_marked t p || check (p + granule)) in
-  check first
+  let stop = addr + len in
+  let rec from p =
+    p < stop
+    &&
+    let page_end = (p / page_size * page_size) + page_size in
+    (match Pagedir.find t.pages (p / page_size) with
+    | b when b == unmarked -> false
+    | bitmap ->
+      any_marked bitmap
+        (p mod page_size / granule)
+        ((min stop page_end - 1) mod page_size / granule))
+    || from page_end
+  in
+  from (addr - (addr mod granule))
 
 let iter_marked t f =
-  Hashtbl.iter
-    (fun pg bitmap ->
+  Pagedir.iter t.pages (fun pg bitmap ->
       Bytes.iteri
         (fun byte c ->
           let x = Char.code c in
@@ -62,10 +86,9 @@ let iter_marked t f =
                 f ((pg * page_size) + (((byte * 8) + bit) * t.granule))
             done)
         bitmap)
-    t.pages
 
 let marked_granules t =
-  Hashtbl.fold
+  Pagedir.fold t.pages
     (fun _ bitmap acc ->
       let count = ref 0 in
       Bytes.iter
@@ -76,6 +99,6 @@ let marked_granules t =
           done)
         bitmap;
       acc + !count)
-    t.pages 0
+    0
 
-let shadow_bytes t = Hashtbl.length t.pages * t.bitmap_bytes
+let shadow_bytes t = Pagedir.length t.pages * t.bitmap_bytes

@@ -7,9 +7,10 @@
     any granule in its range carries a mark — if none does, no dangling
     pointer to it exists and it can be recycled.
 
-    The map is sparse (backed per page), so its footprint follows the
-    used portion of the address space: 32 bytes of shadow per 4 KiB page,
-    i.e. less than 1 % overhead as in the paper. *)
+    The map is sparse (one bitmap per page holding a mark, in a
+    {!Pagedir} page directory), so its footprint follows the used portion
+    of the address space: 32 bytes of shadow per 4 KiB page, i.e. less
+    than 1 % overhead as in the paper. *)
 
 type t
 
@@ -22,7 +23,8 @@ val create : ?granule:int -> unit -> t
 val granule : t -> int
 
 val clear : t -> unit
-(** Reset all marks (start of a sweep's marking phase). *)
+(** Reset all marks (start of a sweep's marking phase). The directory's
+    leaves are reset in place and reused by the next sweep. *)
 
 val mark : t -> int -> unit
 (** [mark t p] marks the granule containing address [p]. [p] must lie in
@@ -35,11 +37,12 @@ val range_marked : t -> addr:int -> len:int -> bool
 (** [range_marked t ~addr ~len] — is any granule intersecting
     [addr, addr+len) marked? This is the release-phase test; [len] must
     cover the allocation's full usable size (which already includes the
-    extra byte for past-the-end pointers). *)
+    extra byte for past-the-end pointers). One bitmap lookup per page
+    the range touches. *)
 
 val iter_marked : t -> (int -> unit) -> unit
-(** Visit the start address of every marked granule (audit support;
-    order unspecified). *)
+(** Visit the start address of every marked granule in ascending order
+    (audit support). *)
 
 val marked_granules : t -> int
 (** Total marks, for stats/tests. *)

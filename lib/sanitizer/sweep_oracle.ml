@@ -47,7 +47,8 @@ let run ?(config = Minesweeper.Config.default) ?(latency_sweeps = 3)
   let stats () = Instance.stats ms in
   let audit_findings = ref [] in
   if audit then
-    Invariants.attach ms (fun fs -> audit_findings := !audit_findings @ fs);
+    Invariants.attach ms (fun fs ->
+        audit_findings := List.rev_append fs !audit_findings);
   let addr_of = Hashtbl.create 4096 in
   (* addr -> tracked, for every allocation currently in quarantine *)
   let quarantined : (int, tracked) Hashtbl.t = Hashtbl.create 4096 in
@@ -208,13 +209,26 @@ let run ?(config = Minesweeper.Config.default) ?(latency_sweeps = 3)
     sweeps = completed_sweeps ();
     soundness = List.rev !soundness;
     precision = List.rev !precision;
-    audit = !audit_findings;
+    audit = List.rev !audit_findings;
     unsound_ids = List.sort_uniq compare !unsound_ids;
     retained_ids = List.sort_uniq compare !retained_ids;
   }
 
 let certify_static ~predicted_unsound ~predicted_retained r =
-  let missing predicted ids = List.filter (fun id -> not (List.mem id predicted)) ids in
+  (* The ids of sorted, duplicate-free [ids] absent from [predicted]: one
+     merge walk over both sorted lists. *)
+  let missing predicted ids =
+    let rec walk predicted ids acc =
+      match (predicted, ids) with
+      | _, [] -> List.rev acc
+      | [], rest -> List.rev_append acc rest
+      | p :: ps, id :: rest ->
+        if p < id then walk ps ids acc
+        else if p = id then walk ps rest acc
+        else walk predicted rest (id :: acc)
+    in
+    walk (List.sort_uniq compare predicted) ids []
+  in
   let diag kind id =
     Diagnostic.make ~rule:"static-miss" ~severity:Diagnostic.Error
       (Printf.sprintf

@@ -14,14 +14,29 @@ let word_size = 8
 let granule = 16
 
 type page = {
-  mutable data : Bytes.t option; (* None while decommitted *)
+  mutable data : Bytes.t; (* [no_backing] while decommitted *)
   mutable prot : prot;
   mutable soft_dirty : bool;
   mutable write_gen : int; (* scan generation of the last content change *)
 }
 
+(* The frame of every decommitted page: empty, compared physically, so
+   "decommitted" is a property of the frame rather than an option. *)
+let no_backing = Bytes.create 0
+
+(* The page directory's empty slot. Never stored and never mutated:
+   every mutator goes through [find_page], which faults on it. *)
+let unmapped =
+  { data = no_backing; prot = No_access; soft_dirty = false; write_gen = 0 }
+
+let backed p = p.data != no_backing
+
+let readable p =
+  backed p
+  && match p.prot with No_access -> false | Read_only | Read_write -> true
+
 type t = {
-  pages : (int, page) Hashtbl.t; (* keyed by page index *)
+  pages : page Pagedir.t; (* keyed by page index *)
   mutable committed : int; (* resident bytes *)
   mutable demand_commit_hook : pages:int -> unit;
   mutable generation : int; (* current scan generation (see mli) *)
@@ -32,7 +47,7 @@ type t = {
 
 let create () =
   {
-    pages = Hashtbl.create 4096;
+    pages = Pagedir.create ~absent:unmapped;
     committed = 0;
     demand_commit_hook = (fun ~pages:_ -> ());
     generation = 0;
@@ -78,9 +93,9 @@ let iter_page_indices ~addr ~len f =
 let map t ~addr ~len =
   check_page_range addr len;
   iter_page_indices ~addr ~len (fun i ->
-      assert (not (Hashtbl.mem t.pages i));
-      Hashtbl.replace t.pages i
-        { data = Some (Bytes.make page_size '\000');
+      assert (not (Pagedir.mem t.pages i));
+      Pagedir.set t.pages i
+        { data = Bytes.make page_size '\000';
           prot = Read_write;
           soft_dirty = false;
           write_gen = t.generation };
@@ -90,16 +105,16 @@ let map t ~addr ~len =
 let unmap t ~addr ~len =
   check_page_range addr len;
   iter_page_indices ~addr ~len (fun i ->
-      match Hashtbl.find_opt t.pages i with
-      | None -> ()
-      | Some p ->
-        if p.data <> None then t.committed <- t.committed - page_size;
-        Hashtbl.remove t.pages i)
+      let p = Pagedir.find t.pages i in
+      if p != unmapped then begin
+        if backed p then t.committed <- t.committed - page_size;
+        Pagedir.remove t.pages i
+      end)
 
 let find_page t addr =
-  match Hashtbl.find_opt t.pages (page_index addr) with
-  | None -> raise (Fault (Unmapped_access, addr))
-  | Some p -> p
+  match Pagedir.find t.pages (page_index addr) with
+  | p when p == unmapped -> raise (Fault (Unmapped_access, addr))
+  | p -> p
 
 let decommit t ~addr ~len =
   check_page_range addr len;
@@ -107,20 +122,16 @@ let decommit t ~addr ~len =
   | None -> ()
   | Some f -> f ~addr ~len);
   iter_page_indices ~addr ~len (fun i ->
-      let p =
-        match Hashtbl.find_opt t.pages i with
-        | None -> raise (Fault (Unmapped_access, i * page_size))
-        | Some p -> p
-      in
-      if p.data <> None then begin
-        p.data <- None;
+      let p = find_page t (i * page_size) in
+      if backed p then begin
+        p.data <- no_backing;
         p.write_gen <- t.generation;
         t.committed <- t.committed - page_size
       end)
 
 let commit_page t i p =
-  if p.data = None then begin
-    p.data <- Some (Bytes.make page_size '\000');
+  if not (backed p) then begin
+    p.data <- Bytes.make page_size '\000';
     p.write_gen <- t.generation;
     t.committed <- t.committed + page_size;
     notify_commit t ~addr:(i * page_size) ~len:page_size
@@ -129,68 +140,79 @@ let commit_page t i p =
 let commit t ~addr ~len =
   check_page_range addr len;
   iter_page_indices ~addr ~len (fun i ->
-      match Hashtbl.find_opt t.pages i with
-      | None -> raise (Fault (Unmapped_access, i * page_size))
-      | Some p -> commit_page t i p)
+      commit_page t i (find_page t (i * page_size)))
 
 let protect t ~addr ~len prot =
   check_page_range addr len;
   iter_page_indices ~addr ~len (fun i ->
-      match Hashtbl.find_opt t.pages i with
-      | None -> raise (Fault (Unmapped_access, i * page_size))
-      | Some p ->
-        (* Conservative: visibility changes invalidate cached page
-           summaries even though the bytes themselves are untouched. *)
-        if p.prot <> prot then p.write_gen <- t.generation;
-        p.prot <- prot)
+      let p = find_page t (i * page_size) in
+      (* Conservative: visibility changes invalidate cached page
+         summaries even though the bytes themselves are untouched. *)
+      if p.prot <> prot then p.write_gen <- t.generation;
+      p.prot <- prot)
 
-let is_mapped t addr = Hashtbl.mem t.pages (page_index addr)
+let is_mapped t addr = Pagedir.mem t.pages (page_index addr)
 
-let is_committed t addr =
-  match Hashtbl.find_opt t.pages (page_index addr) with
-  | None -> false
-  | Some p -> p.data <> None
+let is_committed t addr = backed (Pagedir.find t.pages (page_index addr))
 
 let protection t addr = (find_page t addr).prot
 
 (* Demand-commit on access: a decommitted-but-accessible page behaves like
    madvise(DONTNEED)'d memory — the OS hands back a zeroed page. *)
-let readable_page t addr =
+let accessible_page t addr ~write =
   let p = find_page t addr in
   (match p.prot with
   | No_access -> raise (Fault (Protection_violation, addr))
+  | Read_only when write -> raise (Fault (Protection_violation, addr))
   | Read_only | Read_write -> ());
-  if p.data = None then begin
+  if not (backed p) then begin
     commit_page t (page_index addr) p;
     t.demand_commit_hook ~pages:1
   end;
   p
 
-let writable_page t addr =
-  let p = find_page t addr in
-  (match p.prot with
-  | No_access | Read_only -> raise (Fault (Protection_violation, addr))
-  | Read_write -> ());
-  if p.data = None then begin
-    commit_page t (page_index addr) p;
-    t.demand_commit_hook ~pages:1
-  end;
-  p
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
 
-let page_bytes p =
-  match p.data with
-  | Some b -> b
-  | None -> assert false
+let[@inline] frame_word bytes off =
+  let w = get64u bytes off in
+  Int64.to_int (if Sys.big_endian then swap64 w else w)
+
+let no_words : int array = [||]
+
+(* Two passes (count, then fill) so the result is sized exactly without
+   a scratch buffer: the function runs on worker domains. The length
+   check up front is what makes the unchecked loads safe. *)
+let frame_words bytes ~lo ~hi =
+  if Bytes.length bytes < page_size then invalid_arg "Vmem.frame_words";
+  let n = ref 0 in
+  for k = 0 to (page_size / word_size) - 1 do
+    let w = frame_word bytes (k * word_size) in
+    if w >= lo && w < hi then incr n
+  done;
+  if !n = 0 then no_words
+  else begin
+    let words = Array.make !n 0 in
+    let i = ref 0 in
+    for k = 0 to (page_size / word_size) - 1 do
+      let w = frame_word bytes (k * word_size) in
+      if w >= lo && w < hi then begin
+        Array.unsafe_set words !i w;
+        incr i
+      end
+    done;
+    words
+  end
 
 let load t addr =
   assert (addr mod word_size = 0);
-  let p = readable_page t addr in
-  Int64.to_int (Bytes.get_int64_le (page_bytes p) (addr mod page_size))
+  let p = accessible_page t addr ~write:false in
+  Int64.to_int (Bytes.get_int64_le p.data (addr mod page_size))
 
 let store t addr w =
   assert (addr mod word_size = 0);
-  let p = writable_page t addr in
-  Bytes.set_int64_le (page_bytes p) (addr mod page_size) (Int64.of_int w);
+  let p = accessible_page t addr ~write:true in
+  Bytes.set_int64_le p.data (addr mod page_size) (Int64.of_int w);
   p.soft_dirty <- true;
   p.write_gen <- t.generation;
   match t.write_observer with
@@ -202,10 +224,10 @@ let zero_range t ~addr ~len =
     let finish = addr + len in
     let pos = ref addr in
     while !pos < finish do
-      let p = writable_page t !pos in
+      let p = accessible_page t !pos ~write:true in
       let off = !pos mod page_size in
       let n = min (page_size - off) (finish - !pos) in
-      Bytes.fill (page_bytes p) off n '\000';
+      Bytes.fill p.data off n '\000';
       p.soft_dirty <- true;
       p.write_gen <- t.generation;
       pos := !pos + n
@@ -214,100 +236,74 @@ let zero_range t ~addr ~len =
 
 let committed_bytes t = t.committed
 
-let mapped_bytes t = Hashtbl.length t.pages * page_size
+let mapped_bytes t = Pagedir.length t.pages * page_size
 
 let iter_committed_words t ~addr ~len f =
   if len > 0 then begin
     let finish = addr + len in
-    let pos = ref (page_base addr) in
-    if !pos < addr then pos := addr;
     (* Walk page by page; words are always page-aligned chunks so a word
        never straddles two pages. *)
-    let pos = ref !pos in
+    let pos = ref (max addr (page_base addr)) in
     while !pos < finish do
       let next_page = page_base !pos + page_size in
       let chunk_end = min next_page finish in
-      (match Hashtbl.find_opt t.pages (page_index !pos) with
-      | Some { data = Some bytes; prot = Read_only | Read_write; _ } ->
+      let p = Pagedir.find t.pages (page_index !pos) in
+      if readable p then begin
         let off0 = !pos mod page_size in
         let words = (chunk_end - !pos) / word_size in
         for k = 0 to words - 1 do
           let off = off0 + (k * word_size) in
-          let w = Int64.to_int (Bytes.get_int64_le bytes off) in
-          f (page_base !pos + off) w
+          f (page_base !pos + off) (frame_word p.data off)
         done
-      | Some _ | None -> ());
+      end;
       pos := chunk_end
     done
   end
 
-let iter_readable_pages t f =
-  Hashtbl.iter
-    (fun i p ->
-      match p with
-      | { data = Some bytes; prot = Read_only | Read_write; _ } ->
-        f (i * page_size) bytes
-      | { data = None; _ } | { prot = No_access; _ } -> ())
-    t.pages
-
 let iter_readable_pages_gen t f =
-  Hashtbl.iter
-    (fun i p ->
-      match p with
-      | { data = Some bytes; prot = Read_only | Read_write; write_gen; _ } ->
-        f (i * page_size) bytes ~write_gen
-      | { data = None; _ } | { prot = No_access; _ } -> ())
-    t.pages
+  Pagedir.iter t.pages (fun i p ->
+      if readable p then f (i * page_size) p.data ~write_gen:p.write_gen)
+
+let iter_readable_pages t f =
+  iter_readable_pages_gen t (fun base bytes ~write_gen:_ -> f base bytes)
 
 (* Zero-copy snapshot for the markers: the live page frames themselves,
-   sorted by base address so every consumer sees the one canonical
-   order regardless of hash-table iteration order. No Bytes are copied —
-   callers must treat the frames as read-only and must not interleave
-   stores, protection changes or unmaps with reads of the snapshot
-   (the marking phase holds that property: nothing mutates the address
-   space while it scans). *)
+   in the directory's ascending page order — the one canonical order
+   every consumer sees. No Bytes are copied — callers must treat the
+   frames as read-only and must not interleave stores, protection
+   changes or unmaps with reads of the snapshot (the marking phase holds
+   that property: nothing mutates the address space while it scans). *)
 let snapshot_readable_pages t =
-  let acc =
-    Hashtbl.fold
-      (fun i p acc ->
-        match p with
-        | { data = Some bytes; prot = Read_only | Read_write; write_gen; _ } ->
-          (i * page_size, bytes, write_gen) :: acc
-        | { data = None; _ } | { prot = No_access; _ } -> acc)
-      t.pages []
+  let n =
+    Pagedir.fold t.pages (fun _ p n -> if readable p then n + 1 else n) 0
   in
-  let pages = Array.of_list acc in
-  Array.sort (fun (a, _, _) (b, _, _) -> compare a b) pages;
+  let pages = Array.make n (0, no_backing, 0) in
+  let k = ref 0 in
+  Pagedir.iter t.pages (fun i p ->
+      if readable p then begin
+        pages.(!k) <- (i * page_size, p.data, p.write_gen);
+        incr k
+      end);
   pages
 
 let write_generation t addr = (find_page t addr).write_gen
 
 let readable_bytes t =
-  Hashtbl.fold
-    (fun _ p acc ->
-      match p with
-      | { data = Some _; prot = Read_only | Read_write; _ } -> acc + page_size
-      | { data = None; _ } | { prot = No_access; _ } -> acc)
-    t.pages 0
+  Pagedir.fold t.pages
+    (fun _ p acc -> if readable p then acc + page_size else acc)
+    0
 
-let clear_soft_dirty t =
-  Hashtbl.iter (fun _ p -> p.soft_dirty <- false) t.pages
+let clear_soft_dirty t = Pagedir.iter t.pages (fun _ p -> p.soft_dirty <- false)
 
 let soft_dirty_pages t =
-  Hashtbl.fold (fun _ p acc -> if p.soft_dirty then acc + 1 else acc) t.pages 0
+  Pagedir.fold t.pages (fun _ p acc -> if p.soft_dirty then acc + 1 else acc) 0
 
 (* Pages that were dirtied and then decommitted or protected [No_access]
    carry nothing a re-scan could read: visiting them would inflate the
    simulated pause with bytes no sweep ever touches. *)
 let iter_soft_dirty_pages t f =
-  Hashtbl.iter
-    (fun i p ->
-      match p with
-      | { soft_dirty = true; data = Some _; prot = Read_only | Read_write; _ }
-        ->
-        f (i * page_size)
-      | _ -> ())
-    t.pages
+  Pagedir.iter t.pages (fun i p ->
+      if p.soft_dirty && readable p then f (i * page_size))
 
 (* Publish the address-space accounting as read-through metrics: the
    registry consults these at export time, so the hot paths above carry

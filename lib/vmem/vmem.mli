@@ -128,17 +128,28 @@ val iter_readable_pages : t -> (int -> Bytes.t -> unit) -> unit
 (** [iter_readable_pages t f] calls [f page_base bytes] for every
     committed page that is readable. This is the sweep's view of "all
     program memory": decommitted and [No_access] (unmapped-in-quarantine)
-    pages are excluded. Iteration order is unspecified. The [bytes] are
-    the live page frame, not a copy — callers must not mutate it. *)
+    pages are excluded. Pages are visited in ascending address order.
+    The [bytes] are the live page frame, not a copy — callers must not
+    mutate it. *)
 
 val snapshot_readable_pages : t -> (int * Bytes.t * int) array
 (** Zero-copy snapshot of every committed readable page as
-    [(page_base, bytes, write_gen)] triples sorted by base address — the
+    [(page_base, bytes, write_gen)] triples in ascending base order — the
     canonical page order of the marking phase, the one every parallel
-    merge reproduces. The [bytes] are the live page frames (no copies,
-    no per-page allocation beyond the array itself): callers must treat
-    them as read-only and must not interleave stores, protection changes
-    or unmaps with reads of the snapshot. *)
+    merge reproduces. The order is the page directory's own, so no sort
+    is needed. The [bytes] are the live page frames (no copies, no
+    per-page allocation beyond the array and its triples): callers must
+    treat them as read-only and must not interleave stores, protection
+    changes or unmaps with reads of the snapshot. *)
+
+val frame_words : Bytes.t -> lo:int -> hi:int -> int array
+(** [frame_words bytes ~lo ~hi] — the words of a page frame handed out
+    by this module whose values lie in [[lo, hi)], in address order, as
+    a fresh array (the shared empty array when there are none). The
+    sweep's inner loop: words are read without per-word bounds checks
+    (raises [Invalid_argument] if [bytes] is shorter than a page), and
+    no state is shared between calls, so worker domains may run it
+    concurrently on different frames. *)
 
 (** {1 Scan generations}
 

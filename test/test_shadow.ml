@@ -119,6 +119,57 @@ let prop_range_equivalent_to_pointwise =
       in
       Minesweeper.Shadow.range_marked s ~addr ~len = expected)
 
+(* [range_marked] reads one bitmap per page; the reference tests every
+   granule on its own. Ranges start anywhere in a four-page window and
+   run up to three pages, so most cross page boundaries; marks cluster
+   in the same window. *)
+let prop_range_marked_across_pages granule =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "range_marked = per-granule reference (granule %d)"
+             granule)
+    ~count:300
+    QCheck.(
+      triple
+        (int_range 0 ((4 * Vmem.page_size) - 1))
+        (int_range 1 (3 * Vmem.page_size))
+        (list_of_size
+           Gen.(int_range 0 12)
+           (int_range 0 ((5 * Vmem.page_size) - 1))))
+    (fun (start, len, marks) ->
+      let s = Minesweeper.Shadow.create ~granule () in
+      List.iter (fun off -> Minesweeper.Shadow.mark s (base + off)) marks;
+      let addr = base + start in
+      let rec reference p =
+        p < addr + len
+        && (Minesweeper.Shadow.is_marked s p || reference (p + granule))
+      in
+      Minesweeper.Shadow.range_marked s ~addr ~len
+      = reference (addr - (addr mod granule)))
+
+let prop_clear_resets =
+  QCheck.Test.make ~name:"clear leaves no marks, then marks afresh" ~count:100
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 40) (int_range 0 ((1 lsl 24) - 1)))
+        (int_range 0 ((1 lsl 24) - 1)))
+    (fun (marks, again) ->
+      let s = Minesweeper.Shadow.create () in
+      List.iter (fun off -> Minesweeper.Shadow.mark s (base + off)) marks;
+      Minesweeper.Shadow.clear s;
+      let cleared =
+        Minesweeper.Shadow.marked_granules s = 0
+        && Minesweeper.Shadow.shadow_bytes s = 0
+        && List.for_all
+             (fun off -> not (Minesweeper.Shadow.is_marked s (base + off)))
+             marks
+      in
+      (* The reused leaves must behave like fresh ones. *)
+      Minesweeper.Shadow.mark s (base + again);
+      cleared
+      && Minesweeper.Shadow.marked_granules s = 1
+      && Minesweeper.Shadow.shadow_bytes s = 32
+      && Minesweeper.Shadow.is_marked s (base + again))
+
 let suite =
   ( "minesweeper.shadow",
     [
@@ -134,4 +185,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_mark_then_query;
       QCheck_alcotest.to_alcotest prop_unmarked_ranges_clean;
       QCheck_alcotest.to_alcotest prop_range_equivalent_to_pointwise;
+      QCheck_alcotest.to_alcotest (prop_range_marked_across_pages 16);
+      QCheck_alcotest.to_alcotest (prop_range_marked_across_pages 32);
+      QCheck_alcotest.to_alcotest (prop_range_marked_across_pages 64);
+      QCheck_alcotest.to_alcotest prop_clear_resets;
     ] )

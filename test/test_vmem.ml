@@ -203,6 +203,21 @@ let test_iter_readable_pages () =
     sorted;
   Alcotest.(check int) "readable bytes" (2 * page) (Vmem.readable_bytes m)
 
+let test_frame_words () =
+  let m = fresh () in
+  Vmem.store m base (base + 64);
+  Vmem.store m (base + 8) 7;
+  Vmem.store m (base + page - 8) (base + 8);
+  let _, bytes, _ = (Vmem.snapshot_readable_pages m).(0) in
+  Alcotest.(check (array int)) "in-range words in address order"
+    [| base + 64; base + 8 |]
+    (Vmem.frame_words bytes ~lo:base ~hi:(base + page));
+  Alcotest.(check (array int)) "empty range" [||]
+    (Vmem.frame_words bytes ~lo:base ~hi:base);
+  Alcotest.check_raises "short frame rejected"
+    (Invalid_argument "Vmem.frame_words") (fun () ->
+      ignore (Vmem.frame_words (Bytes.make 8 '\000') ~lo:0 ~hi:1))
+
 let test_commit_observer () =
   let m = Vmem.create () in
   let events = ref [] in
@@ -269,6 +284,240 @@ let prop_store_load_roundtrip =
       Vmem.store m addr value;
       Vmem.load m addr = value)
 
+(* Model test: random map/unmap/commit/decommit/protect/store/load
+   sequences over the three page runs the simulator uses (globals, stack,
+   and a heap run straddling a page-directory leaf boundary), checked
+   against a reference [Map] after every sequence. Range operations hit
+   unmapped pages too, including single-page holes inside a mapped run:
+   the model applies them page by page in ascending order and stops at
+   the first unmapped page with the same fault. *)
+module IM = Map.Make (Int)
+
+type mpage = { committed : bool; prot : Vmem.prot; words : int IM.t }
+
+let runs =
+  [|
+    (Layout.globals_base, 16);
+    (Layout.stack_base, 80);
+    (Layout.heap_base + ((Pagedir.leaf_pages - 20) * page), 48);
+  |]
+
+type range_op = Map | Unmap | Commit | Decommit | Protect of Vmem.prot
+
+type op =
+  | Range of range_op * int * int * int (* op, run, first page, pages *)
+  | Store of int * int * int * int (* run, page, word, value *)
+  | Load of int * int * int
+
+let page_addr run pg = fst runs.(run) + (pg * page)
+
+let prot_name = function
+  | Vmem.No_access -> "none"
+  | Vmem.Read_only -> "ro"
+  | Vmem.Read_write -> "rw"
+
+let show_op = function
+  | Range (r, run, pg, n) ->
+    let name =
+      match r with
+      | Map -> "map"
+      | Unmap -> "unmap"
+      | Commit -> "commit"
+      | Decommit -> "decommit"
+      | Protect p -> "protect-" ^ prot_name p
+    in
+    Printf.sprintf "%s %#x+%d" name (page_addr run pg) n
+  | Store (run, pg, w, v) ->
+    Printf.sprintf "store %#x=%d" (page_addr run pg + (w * 8)) v
+  | Load (run, pg, w) -> Printf.sprintf "load %#x" (page_addr run pg + (w * 8))
+
+let gen_op =
+  let open QCheck.Gen in
+  let* run = int_bound 2 in
+  let pages = snd runs.(run) in
+  let* pg = int_bound (pages - 1) in
+  let* w = int_bound 7 in
+  frequency
+    [
+      ( 6,
+        let* r =
+          frequency
+            [
+              (3, return Map); (2, return Unmap); (2, return Commit);
+              (2, return Decommit);
+              ( 2,
+                map
+                  (fun p -> Protect p)
+                  (oneofl Vmem.[ No_access; Read_only; Read_write ]) );
+            ]
+        in
+        let* n = int_range 1 (min 8 (pages - pg)) in
+        (* Single-page unmaps punch holes inside mapped runs. *)
+        let n = if r = Unmap && n > 2 then 1 else n in
+        return (Range (r, run, pg, n)) );
+      (4, map (fun v -> Store (run, pg, w, v)) (int_range 1 1_000_000));
+      (2, return (Load (run, pg, w)));
+    ]
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck.Gen.(list_size (int_range 1 80) gen_op)
+
+type 'a outcome = Done of 'a | Faulted of Vmem.fault_kind * int
+
+let attempt f = try Done (f ()) with Vmem.Fault (k, a) -> Faulted (k, a)
+
+let fresh_page = { committed = true; prot = Vmem.Read_write; words = IM.empty }
+
+(* Committing or decommitting drops the contents. *)
+let backing p committed = { p with committed; words = IM.empty }
+
+(* The model's version of one range op, page by page in ascending order. *)
+let model_range model r ~addr ~n =
+  let rec go model i =
+    if i = n then (model, Done ())
+    else
+      let a = addr + (i * page) in
+      let pi = a / page in
+      match (r, IM.find_opt pi model) with
+      | Map, _ -> go (IM.add pi fresh_page model) (i + 1)
+      | Unmap, _ -> go (IM.remove pi model) (i + 1)
+      | (Commit | Decommit | Protect _), None ->
+        (model, Faulted (Vmem.Unmapped_access, a))
+      | Commit, Some p when not p.committed ->
+        go (IM.add pi (backing p true) model) (i + 1)
+      | Decommit, Some p -> go (IM.add pi (backing p false) model) (i + 1)
+      | Protect prot, Some p -> go (IM.add pi { p with prot } model) (i + 1)
+      | Commit, Some _ -> go model (i + 1)
+  in
+  go model 0
+
+(* Word access: fault on unmapped or forbidden pages, demand-commit a
+   decommitted one (zeroed). *)
+let model_access model addr ~write =
+  let pi = addr / page in
+  match IM.find_opt pi model with
+  | None -> Error (Vmem.Unmapped_access, addr)
+  | Some p -> (
+    match p.prot with
+    | Vmem.No_access -> Error (Vmem.Protection_violation, addr)
+    | Vmem.Read_only when write -> Error (Vmem.Protection_violation, addr)
+    | Vmem.Read_only | Vmem.Read_write ->
+      Ok (pi, if p.committed then p else backing p true))
+
+let step m model op =
+  match op with
+  | Range (r, run, pg, n) ->
+    let addr = page_addr run pg and len = n * page in
+    (* [map] requires the whole range unmapped; skip it otherwise. *)
+    let all_unmapped =
+      List.for_all
+        (fun i -> not (IM.mem ((addr / page) + i) model))
+        (List.init n Fun.id)
+    in
+    if r = Map && not all_unmapped then model
+    else begin
+      let got =
+        attempt (fun () ->
+            match r with
+            | Map -> Vmem.map m ~addr ~len
+            | Unmap -> Vmem.unmap m ~addr ~len
+            | Commit -> Vmem.commit m ~addr ~len
+            | Decommit -> Vmem.decommit m ~addr ~len
+            | Protect p -> Vmem.protect m ~addr ~len p)
+      in
+      let model, want = model_range model r ~addr ~n in
+      if got <> want then
+        QCheck.Test.fail_reportf "%s: outcome differs" (show_op op);
+      model
+    end
+  | Store (run, pg, w, v) ->
+    let addr = page_addr run pg + (w * 8) in
+    let got = attempt (fun () -> Vmem.store m addr v) in
+    (match model_access model addr ~write:true with
+    | Error (k, a) ->
+      if got <> Faulted (k, a) then
+        QCheck.Test.fail_reportf "%s: expected a fault" (show_op op);
+      model
+    | Ok (pi, p) ->
+      if got <> Done () then
+        QCheck.Test.fail_reportf "%s: unexpected fault" (show_op op);
+      IM.add pi { p with words = IM.add (addr mod page) v p.words } model)
+  | Load (run, pg, w) ->
+    let addr = page_addr run pg + (w * 8) in
+    let got = attempt (fun () -> Vmem.load m addr) in
+    (match model_access model addr ~write:false with
+    | Error (k, a) ->
+      if got <> Faulted (k, a) then
+        QCheck.Test.fail_reportf "%s: expected a fault" (show_op op);
+      model
+    | Ok (pi, p) ->
+      let want =
+        Option.value ~default:0 (IM.find_opt (addr mod page) p.words)
+      in
+      if got <> Done want then
+        QCheck.Test.fail_reportf "%s: loaded a different word" (show_op op);
+      IM.add pi p model)
+
+let readable p = p.committed && p.prot <> Vmem.No_access
+
+let check_against_model m model =
+  let count f = IM.fold (fun _ p n -> if f p then n + 1 else n) model 0 in
+  Array.iteri
+    (fun run (_, pages) ->
+      for pg = 0 to pages - 1 do
+        let addr = page_addr run pg in
+        let p = IM.find_opt (addr / page) model in
+        if Vmem.is_mapped m addr <> (p <> None) then
+          QCheck.Test.fail_reportf "is_mapped %#x" addr;
+        let committed = match p with Some p -> p.committed | None -> false in
+        if Vmem.is_committed m addr <> committed then
+          QCheck.Test.fail_reportf "is_committed %#x" addr;
+        match p with
+        | None -> ()
+        | Some p ->
+          if Vmem.protection m addr <> p.prot then
+            QCheck.Test.fail_reportf "protection %#x" addr;
+          (* Loads from readable pages have no side effects to model. *)
+          if readable p then
+            for w = 0 to 7 do
+              let want =
+                Option.value ~default:0 (IM.find_opt (w * 8) p.words)
+              in
+              if Vmem.load m (addr + (w * 8)) <> want then
+                QCheck.Test.fail_reportf "load %#x" (addr + (w * 8))
+            done
+      done)
+    runs;
+  if Vmem.committed_bytes m <> count (fun p -> p.committed) * page then
+    QCheck.Test.fail_report "committed_bytes";
+  if Vmem.mapped_bytes m <> IM.cardinal model * page then
+    QCheck.Test.fail_report "mapped_bytes";
+  let snapshot =
+    Vmem.snapshot_readable_pages m |> Array.to_list
+    |> List.map (fun (b, _, _) -> b)
+  in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | [ _ ] | [] -> true
+  in
+  if not (ascending snapshot) then
+    QCheck.Test.fail_report "snapshot not strictly ascending";
+  let want =
+    IM.bindings model
+    |> List.filter_map (fun (pi, p) ->
+           if readable p then Some (pi * page) else None)
+  in
+  if snapshot <> want then QCheck.Test.fail_report "snapshot <> readable set";
+  true
+
+let prop_model =
+  QCheck.Test.make ~name:"vmem agrees with a reference Map model" ~count:300
+    arb_ops (fun ops ->
+      let m = Vmem.create () in
+      check_against_model m (List.fold_left (step m) IM.empty ops))
+
 let suite =
   ( "vmem",
     [
@@ -296,4 +545,6 @@ let suite =
       Alcotest.test_case "committed-bytes gauge round-trip" `Quick
         test_committed_bytes_gauge;
       QCheck_alcotest.to_alcotest prop_store_load_roundtrip;
+      QCheck_alcotest.to_alcotest prop_model;
+      Alcotest.test_case "frame words" `Quick test_frame_words;
     ] )
