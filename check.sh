@@ -53,6 +53,33 @@ echo "lint flags the dangling-rate workload (expected; fatal only under --strict
   && { echo "FAIL: oracle reported unsoundness on the default config" >&2; exit 1; }
 echo "oracle certifies the default config sound on it"
 
+echo "== trace replay under every scheme"
+# trace-replay, the oracles and the race recorder all run on one replay
+# engine: under every scheme the CLI offers, replay must finish and count
+# exactly the ops the oracle counted.
+oracle_ops=$("$CLI" check -i "$workdir/espresso.trace" --oracle --latency 100000 \
+  | sed -n 's/.*: oracle: \([0-9][0-9]*\) ops,.*/\1/p')
+[ -n "$oracle_ops" ] \
+  || { echo "FAIL: oracle printed no op count" >&2; exit 1; }
+# Negative word indices wrap back from the end of their window (field
+# word -1 is the object's last word), so no store lands in allocator
+# metadata below the object.
+printf '# msweep-trace v1 negidx\na 0 64\na 1 64\np f 1 -1 0\nd r -1 5\nx 1\nx 0\n' \
+  >"$workdir/negidx.trace"
+for scheme in baseline minesweeper mostly incremental incremental-mostly \
+    markus ffmalloc dlmalloc dlmalloc-minesweeper crcount psweeper dangsan \
+    scudo scudo-minesweeper pooled; do
+  "$CLI" trace-replay -i "$workdir/espresso.trace" -s "$scheme" \
+    >"$workdir/replay.txt" 2>&1 \
+    || { cat "$workdir/replay.txt" >&2; echo "FAIL: trace-replay -s $scheme exited nonzero" >&2; exit 1; }
+  grep -q "^replayed $oracle_ops ops " "$workdir/replay.txt" \
+    || { cat "$workdir/replay.txt" >&2; echo "FAIL: trace-replay -s $scheme did not replay the oracle's $oracle_ops ops" >&2; exit 1; }
+  "$CLI" trace-replay -i "$workdir/negidx.trace" -s "$scheme" \
+    >"$workdir/replay.txt" 2>&1 \
+    || { cat "$workdir/replay.txt" >&2; echo "FAIL: negative-index trace failed under $scheme" >&2; exit 1; }
+done
+echo "every scheme replays the oracle's $oracle_ops ops and the negative-index trace"
+
 echo "== sweep-mode equivalence (full vs incremental)"
 # The dedicated equivalence suite: identical mark sets and decisions.
 _build/default/test/test_main.exe test minesweeper.sweep-equivalence \
@@ -269,27 +296,16 @@ if grep -q "REGRESSION" "$workdir/pipefig.txt"; then
 fi
 echo "sweep pipeline identical across domains with modeled speedup >= 2x"
 
-echo "== api: deprecated mark entry points stay quarantined"
-# The legacy mark_* entry points survive only as shims inside the
-# instance layer; nothing else in the tree may call them (the pipeline
-# suite's shim test is the one sanctioned caller).
+echo "== api: removed mark entry points stay removed"
+# The legacy mark_* entry points are gone; marking without release is a
+# Pipeline.mark_only plan run through Sweep.run. Nothing may bring them
+# back.
 if grep -rn "mark_all_memory\|mark_incremental" lib bin test \
-    --include='*.ml' --include='*.mli' \
-    | grep -v "^lib/core/instance\.ml:" \
-    | grep -v "^lib/core/instance\.mli:" \
-    | grep -v "^lib/core/instance_intf\.ml:" \
-    | grep -v "^test/test_pipeline\.ml:" \
-    | grep -q .; then
-  grep -rn "mark_all_memory\|mark_incremental" lib bin test \
-    --include='*.ml' --include='*.mli' \
-    | grep -v "^lib/core/instance\.ml:" \
-    | grep -v "^lib/core/instance\.mli:" \
-    | grep -v "^lib/core/instance_intf\.ml:" \
-    | grep -v "^test/test_pipeline\.ml:" >&2
-  echo "FAIL: deprecated mark entry points called outside their shims" >&2
+    --include='*.ml' --include='*.mli' >&2; then
+  echo "FAIL: removed mark entry points reappeared" >&2
   exit 1
 fi
-echo "no callers of the deprecated mark entry points outside the shims"
+echo "no mark_all_memory/mark_incremental anywhere in the tree"
 
 echo "== telemetry: metrics export determinism + schema"
 # Two identical runs must export byte-identical JSONL (every value is an

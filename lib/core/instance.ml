@@ -824,8 +824,7 @@ let start_sweep t = start_sweep_plan t (Pipeline.plan_of_config t.config)
    return its outcome — the [Sweep.run] entry point. A plan without a
    Release stage (see {!Pipeline.mark_only}) runs just the Mark/Merge
    stages: no quarantine flush or lock-in, no release decisions, no
-   sweep counted and no simulated cost charged — the semantics of the
-   deprecated [mark_all_memory]/[mark_incremental] entry points. *)
+   sweep counted and no simulated cost charged. *)
 let run_pipeline t (plan : Pipeline.plan) =
   if not (List.mem Pipeline.Release plan.Pipeline.stages) then begin
     let scanned_bytes, replayed_words, reports, mark_pipelined =
@@ -1044,9 +1043,9 @@ let free t ?(thread = 0) addr =
     invalid_arg (Printf.sprintf "Instance.free: unknown pointer %#x" addr)
   | Error Size_overflow -> assert false
 
-(* calloc/realloc complete the drop-in allocator API. realloc frees
-   through the quarantine like any other free: the old range stays
-   protected until sweeps prove it safe. *)
+(* calloc_result/realloc_result complete the drop-in allocator API.
+   realloc frees through the quarantine like any other free: the old
+   range stays protected until sweeps prove it safe. *)
 
 let calloc_result t count size =
   assert (count >= 0 && size >= 0);
@@ -1057,9 +1056,6 @@ let calloc_result t count size =
   else
     (* The backend already serves zeroed memory. *)
     Ok (malloc t (count * size))
-
-let calloc t count size =
-  match calloc_result t count size with Ok addr -> addr | Error _ -> 0
 
 let realloc_result t ?(thread = 0) addr size =
   if addr = 0 then Ok (malloc t size)
@@ -1097,11 +1093,6 @@ let realloc_result t ?(thread = 0) addr size =
     free t ~thread addr;
     Ok fresh
   end
-
-let realloc t ?(thread = 0) addr size =
-  match realloc_result t ~thread addr size with
-  | Ok fresh -> fresh
-  | Error _ -> 0
 
 let is_quarantined t addr = Quarantine.contains t.quarantine addr
 
@@ -1145,28 +1136,6 @@ module Sweep = struct
   let run = run_pipeline
   let last t = t.last_outcome
 end
-
-(* Deprecated shims over the pipeline; see instance_intf.ml. *)
-
-let mark_all_memory t =
-  let plan =
-    {
-      (Pipeline.mark_only (Pipeline.plan_of_config t.config)) with
-      Pipeline.mode = Config.Full_scan;
-    }
-  in
-  (run_pipeline t plan).Pipeline.scanned_bytes
-
-let mark_incremental t =
-  let plan =
-    {
-      (Pipeline.mark_only (Pipeline.plan_of_config t.config)) with
-      Pipeline.mode = Config.Incremental;
-    }
-  in
-  let o = run_pipeline t plan in
-  ( o.Pipeline.scanned_bytes - (o.Pipeline.replayed_words * word),
-    o.Pipeline.replayed_words )
 end
 
 include Make (Alloc.Backends.Jemalloc_backend)

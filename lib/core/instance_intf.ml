@@ -9,7 +9,7 @@ type error =
       (** The address is currently quarantined: the application already
           freed it. MineSweeper absorbs the free (Section 3). *)
   | Size_overflow
-      (** [calloc count size] with [count * size] overflowing. *)
+      (** [calloc_result count size] with [count * size] overflowing. *)
 
 let pp_error ppf = function
   | Unknown_pointer addr -> Format.fprintf ppf "unknown pointer %#x" addr
@@ -94,8 +94,8 @@ module type S = sig
   val realloc_result : t -> ?thread:int -> int -> int -> (int, error) result
   (** [realloc_result t addr size] allocates, copies the overlapping
       prefix and frees the old block through the quarantine.
-      [realloc t 0 size] behaves as [malloc]; size 0 behaves as [free]
-      and returns [Ok 0]. Quarantined or unknown [addr] is rejected
+      Address 0 behaves as [malloc]; size 0 behaves as [free] and
+      returns [Ok 0]. Quarantined or unknown [addr] is rejected
       with the corresponding error before any allocation happens. *)
 
   (** {1 Deprecated shims}
@@ -107,12 +107,6 @@ module type S = sig
   (** [free_result] with the double-free outcome absorbed silently
       (the historical behaviour) and [Unknown_pointer] raised as
       [Invalid_argument]. *)
-
-  val calloc : t -> int -> int -> int
-  (** [calloc_result] with [Size_overflow] collapsed to address 0. *)
-
-  val realloc : t -> ?thread:int -> int -> int -> int
-  (** [realloc_result] with errors collapsed to address 0. *)
 
   (** {1 The sweep pipeline}
 
@@ -145,16 +139,6 @@ module type S = sig
     (** The most recently completed pipeline outcome (from the
         background schedule or from [run]), if any. *)
   end
-
-  val mark_all_memory : t -> int
-  (** @deprecated Shim over {!Sweep.run} with a mark-only [Full_scan]
-      plan; returns the swept bytes. New code should call [Sweep.run]
-      directly. *)
-
-  val mark_incremental : t -> int * int
-  (** @deprecated Shim over {!Sweep.run} with a mark-only [Incremental]
-      plan; returns [(rescanned_bytes, replayed_words)]. New code
-      should call [Sweep.run] directly. *)
 
   val tick : t -> unit
   (** Complete any sweep whose scheduled completion time has passed, and

@@ -53,9 +53,8 @@ val plan_of_config : Config.t -> plan
     toggles pick the stage list). *)
 
 val mark_only : plan -> plan
-(** The plan restricted to [Mark; Merge] — what the deprecated
-    mark-entry-point shims run: marking without lock-in, release or
-    purge. *)
+(** The plan restricted to [Mark; Merge]: marking into the live shadow
+    map without lock-in, release or purge (see [Instance.Sweep.run]). *)
 
 val batches : plan -> entries:int -> int
 (** Number of flush batches a sweep over [entries] locked-in entries

@@ -8,10 +8,10 @@ let slot_to_string = function
   | Root_slot w -> Printf.sprintf "root[%d]" w
   | Field_slot (id, w) -> Printf.sprintf "obj%d[%d]" id w
 
-let normalize_root w = Root_slot (w mod Workloads.Trace.root_window_words)
+let normalize_root w = Root_slot (Workloads.Trace.root_word w)
 
 let normalize_field ~id ~size w =
-  if size < 8 then None else Some (Field_slot (id, w mod (size / 8)))
+  Option.map (fun w -> Field_slot (id, w)) (Workloads.Trace.field_word ~size w)
 
 type target =
   | Ptr of int

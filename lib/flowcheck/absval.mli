@@ -3,19 +3,21 @@
     The analyzer never touches concrete addresses: its universe is the
     trace's own vocabulary — object ids and normalized slots. A slot is
     a root-window word or a word inside a live object; normalization
-    applies exactly the wrapping {!Workloads.Trace.replay} applies when
-    it resolves a location, so two location expressions that land on the
-    same concrete word always collapse to the same abstract slot. *)
+    applies the replay's own wrapping ({!Workloads.Trace.root_word},
+    {!Workloads.Trace.field_word}), so two location expressions that
+    land on the same concrete word always collapse to the same abstract
+    slot. *)
 
 type slot =
-  | Root_slot of int  (** root-window word, already reduced mod window *)
-  | Field_slot of int * int  (** (holder id, word index reduced mod size) *)
+  | Root_slot of int  (** root-window word, already wrapped *)
+  | Field_slot of int * int  (** (holder id, word index wrapped to size) *)
 
 val slot_compare : slot -> slot -> int
 val slot_to_string : slot -> string
 
 val normalize_root : int -> slot
-(** Reduce a root word index exactly as replay does ([w mod window]). *)
+(** Wrap a root word index exactly as replay does
+    ({!Workloads.Trace.root_word}). *)
 
 val normalize_field : id:int -> size:int -> int -> slot option
 (** Reduce a field word index against the holder's size; [None] when the

@@ -406,6 +406,7 @@ let corpus_expectations =
     ("dangling-target", []);
     ("unclear-before-free", [ "flow-dangling" ]);
     ("field-out-of-range", []);
+    ("negative-word-index", []);
     ("uaf-chain", [ "flow-dangling" ]);
     ("free-thread-out-of-range", []);
     ("alloc-site-out-of-range", []);

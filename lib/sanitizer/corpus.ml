@@ -30,6 +30,11 @@ let cases =
       "a 0 64\np r 3 0\nx 0\n";
     (* a 16-byte object has 2 words; word 99 wraps *)
     case "field-out-of-range" [ "field-out-of-range" ] "a 0 16\nd f 0 99 7\n";
+    (* negative indices count back from the end of their window: field
+       word -1 of id 1 is its last word (7), root word -1 is 8191 — not
+       the word below the object or the window *)
+    case "negative-word-index" [ "field-out-of-range" ]
+      "a 0 64\na 1 64\np f 1 -1 0\nd r -1 5\nx 1\nx 0\n";
     (* compound: a free-then-write-then-free chain raising three rules *)
     case "uaf-chain"
       [ "double-free"; "store-after-free"; "unclear-before-free" ]

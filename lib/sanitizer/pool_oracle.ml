@@ -39,16 +39,15 @@ let run ?plan (trace : Trace.t) =
     | None -> Poolalloc.identity_plan ~sites:trace.Trace.sites
   in
   let machine = Alloc.Machine.create () in
-  let mem = machine.Alloc.Machine.mem in
   List.iter
-    (fun (base, size) -> Vmem.map mem ~addr:base ~len:size)
+    (fun (base, size) ->
+      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
     Layout.root_regions;
   let pa = Poolalloc.create ~plan machine in
   let registry =
     Registry.create_with ~resolve:(fun value ->
         Poolalloc.allocation_containing pa value)
   in
-  let addr_of = Hashtbl.create 4096 in
   (* base -> id of the last occupant freed there *)
   let freed_bases : (int, int) Hashtbl.t = Hashtbl.create 4096 in
   let soundness = ref [] in
@@ -56,28 +55,11 @@ let run ?plan (trace : Trace.t) =
   let allocs = ref 0 in
   let frees = ref 0 in
   let recycled = ref 0 in
-  let resolve_loc = function
-    | Trace.Root w ->
-      Some (Layout.stack_base + (8 * (w mod Trace.root_window_words)))
-    | Trace.Field (id, w) -> (
-      match Hashtbl.find_opt addr_of id with
-      | Some (addr, size) when size >= 8 ->
-        Some (addr + (8 * (w mod (size / 8))))
-      | Some _ | None -> None)
-  in
-  let writable slot =
-    Vmem.is_mapped mem slot
-    && Vmem.is_committed mem slot
-    && Vmem.protection mem slot = Vmem.Read_write
-  in
-  let pointer_write slot value =
-    Vmem.store mem slot value;
-    Registry.record_write registry ~slot ~value
-  in
-  Array.iteri
-    (fun op_index op ->
-      match op with
-      | Trace.Alloc { id; size; site } ->
+  (* the op being replayed, for diagnostics raised inside [malloc] *)
+  let op_index = ref 0 in
+  let ops =
+    Trace.replay_stream (Trace.stream_of_trace trace) ~machine
+      ~malloc:(fun ~id ~site size ->
         let addr = Poolalloc.malloc_site pa ~site size in
         incr allocs;
         (match Hashtbl.find_opt freed_bases addr with
@@ -89,7 +71,7 @@ let run ?plan (trace : Trace.t) =
             unsound_ids := prev_id :: !unsound_ids;
             soundness :=
               Diagnostic.make ~rule:"oracle-unsound"
-                ~severity:Diagnostic.Error ~op_index
+                ~severity:Diagnostic.Error ~op_index:!op_index
                 (Printf.sprintf
                    "pool %s recycled id %d's slot (addr %#x) for id %d \
                     while %d live pointer(s) to the old object exist"
@@ -105,45 +87,21 @@ let run ?plan (trace : Trace.t) =
         Registry.drop_slots_in registry ~base:addr
           ~usable:(Poolalloc.usable_size pa addr)
           (fun ~slot:_ ~target:_ -> ());
-        Hashtbl.replace addr_of id (addr, size)
-      | Trace.Free { id; thread = _ } -> (
-        match Hashtbl.find_opt addr_of id with
-        | Some (addr, _) ->
-          Hashtbl.remove addr_of id;
-          incr frees;
-          (* No zeroing on free: registry records inside the object
-             persist until the memory is re-served. *)
-          Poolalloc.free pa addr;
-          Hashtbl.replace freed_bases addr id
-        | None -> ())
-      | Trace.Store_ptr { loc; target } -> (
-        match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          pointer_write slot taddr
-        | _ -> ())
-      | Trace.Clear_ptr { loc; target } -> (
-        match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          if Vmem.load mem slot = taddr then pointer_write slot 0
-        | _ -> ())
-      | Trace.Store_data { loc; value } -> (
-        match resolve_loc loc with
-        | Some slot when writable slot ->
-          let concrete =
-            if value >= 0 then value
-            else
-              match Hashtbl.find_opt addr_of (-value - 1) with
-              | Some (addr, _) -> addr
-              | None -> 0
-          in
-          Vmem.store mem slot concrete;
-          Registry.forget_slot registry ~slot
-        | _ -> ())
-      | Trace.Work cycles -> Alloc.Machine.charge machine cycles)
-    trace.Trace.ops;
+        addr)
+      ~free:(fun ~id ~thread:_ addr ->
+        incr frees;
+        (* No zeroing on free: registry records inside the object
+           persist until the memory is re-served. *)
+        Poolalloc.free pa addr;
+        Hashtbl.replace freed_bases addr id)
+      ~pointer_write:(fun ~slot ~old_value:_ ~value ->
+        Registry.record_write registry ~slot ~value)
+      ~data_write:(fun ~slot -> Registry.forget_slot registry ~slot)
+      ~after_op:(fun i -> op_index := i + 1)
+  in
   {
     trace_name = trace.Trace.name;
-    ops = Array.length trace.Trace.ops;
+    ops;
     allocs = !allocs;
     frees = !frees;
     recycled = !recycled;

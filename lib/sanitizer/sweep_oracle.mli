@@ -1,7 +1,8 @@
 (** Differential soundness/precision oracle for MineSweeper's sweep.
 
-    Replays a trace against a MineSweeper instance while maintaining, on
-    the side, the ground-truth pointer graph in a
+    Replays a trace ({!Workloads.Trace.replay_stream}, the engine
+    behind every replay) against a MineSweeper instance while
+    maintaining, on the side, the ground-truth pointer graph in a
     {!Ptrtrack.Registry.t}: every pointer store and clear the replay
     performs is recorded exactly (data stores are not — an integer that
     merely aliases an address is {e not} a pointer, which is precisely

@@ -3,8 +3,10 @@
     Walks the op array without executing it, tracking an abstract state
     (id liveness, which slot statically holds which pointer) and emits a
     {!Diagnostic.t} per violation. The analysis mirrors
-    {!Workloads.Trace.replay}'s semantics exactly — including index
-    wrapping and the skip rules for unresolvable operands — so a clean
+    {!Workloads.Trace.replay_stream}'s semantics exactly — it wraps
+    indices through the same {!Workloads.Trace.root_word} and
+    {!Workloads.Trace.field_word}, and follows the skip rules for
+    unresolvable operands — so a clean
     lint means the replay performs no silent no-ops beyond the guarded
     [Clear_ptr] cases.
 

@@ -34,6 +34,17 @@ let allocation_count t =
 
 let root_window_words = 8192
 
+(* The one slot-wrapping rule. Euclidean, so a negative index counts
+   back from the end of its window instead of escaping below it. *)
+let wrap_word ~words w =
+  let r = w mod words in
+  if r < 0 then r + words else r
+
+let root_word w = wrap_word ~words:root_window_words w
+
+let field_word ~size w =
+  if size < 8 then None else Some (wrap_word ~words:(size / 8) w)
+
 (* The stable allocation-site key: a pure function of the sampled size
    (log2 size-class bucket, folded onto [0, sites)), standing in for the
    call-site/type key a compiler pass would emit. Being a function of
@@ -122,73 +133,6 @@ let generate ?(seed = 1) profile =
   { name = profile.Profile.name; threads = 1;
     sites = max 1 profile.Profile.sites;
     ops = Array.of_list (List.rev !ops) }
-
-(* ------------------------------------------------------------------ *)
-(* Replay                                                              *)
-
-let replay t (stack : Harness.t) =
-  let mem = stack.Harness.machine.Alloc.Machine.mem in
-  let addr_of = Hashtbl.create 4096 in (* id -> (addr, size) *)
-  let executed = ref 0 in
-  let resolve_loc = function
-    | Root w -> Some (Layout.stack_base + (8 * (w mod root_window_words)))
-    | Field (id, w) ->
-      (match Hashtbl.find_opt addr_of id with
-      | Some (addr, size) when size >= 8 -> Some (addr + (8 * (w mod (size / 8))))
-      | Some _ | None -> None)
-  in
-  let writable slot =
-    Vmem.is_mapped mem slot
-    && Vmem.is_committed mem slot
-    && Vmem.protection mem slot = Vmem.Read_write
-  in
-  Array.iter
-    (fun op ->
-      incr executed;
-      match op with
-      | Alloc { id; size; site } ->
-        let site = clamp_site ~sites:t.sites site in
-        let addr = stack.Harness.malloc_site ~site size in
-        Hashtbl.replace addr_of id (addr, size);
-        stack.Harness.tick ()
-      | Free { id; thread } ->
-        (match Hashtbl.find_opt addr_of id with
-        | Some (addr, _) ->
-          Hashtbl.remove addr_of id;
-          stack.Harness.free ~thread addr
-        | None -> ())
-      | Store_ptr { loc; target } ->
-        (match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          let old_value = Vmem.load mem slot in
-          Vmem.store mem slot taddr;
-          stack.Harness.on_pointer_write ~slot ~old_value ~value:taddr
-        | _ -> ())
-      | Clear_ptr { loc; target } ->
-        (match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          if Vmem.load mem slot = taddr then begin
-            Vmem.store mem slot 0;
-            stack.Harness.on_pointer_write ~slot ~old_value:taddr ~value:0
-          end
-        | _ -> ())
-      | Store_data { loc; value } ->
-        (match resolve_loc loc with
-        | Some slot when writable slot ->
-          let concrete =
-            if value >= 0 then value
-            else
-              (* encoded "address of object ~(-value-1)" *)
-              match Hashtbl.find_opt addr_of (-value - 1) with
-              | Some (addr, _) -> addr
-              | None -> 0
-          in
-          Vmem.store mem slot concrete
-        | _ -> ())
-      | Work cycles -> Alloc.Machine.charge stack.Harness.machine cycles)
-    t.ops;
-  stack.Harness.drain ();
-  !executed
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
@@ -451,6 +395,87 @@ let fold_stream st ~init ~f =
       in
       loop ();
       !acc)
+
+(* ------------------------------------------------------------------ *)
+(* Replay                                                              *)
+
+let replay_stream ?(pointer_write = fun ~slot:_ ~old_value:_ ~value:_ -> ())
+    ?(data_write = fun ~slot:_ -> ()) ?(after_op = ignore) ~machine ~malloc
+    ~free st =
+  let mem = machine.Alloc.Machine.mem in
+  let addr_of = Hashtbl.create 4096 in (* id -> (addr, size) *)
+  let resolve_loc = function
+    | Root w -> Some (Layout.stack_base + (8 * root_word w))
+    | Field (id, w) -> (
+      match Hashtbl.find_opt addr_of id with
+      | Some (addr, size) ->
+        Option.map (fun w -> addr + (8 * w)) (field_word ~size w)
+      | None -> None)
+  in
+  let writable slot =
+    Vmem.is_mapped mem slot
+    && Vmem.is_committed mem slot
+    && Vmem.protection mem slot = Vmem.Read_write
+  in
+  let step op_index op =
+    (match op with
+    | Alloc { id; size; site } ->
+      let site = clamp_site ~sites:(stream_sites st) site in
+      Hashtbl.replace addr_of id (malloc ~id ~site size, size)
+    | Free { id; thread } -> (
+      match Hashtbl.find_opt addr_of id with
+      | Some (addr, _) ->
+        Hashtbl.remove addr_of id;
+        free ~id ~thread addr
+      | None -> ())
+    | Store_ptr { loc; target } -> (
+      match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
+      | Some slot, Some (taddr, _) when writable slot ->
+        let old_value = Vmem.load mem slot in
+        Vmem.store mem slot taddr;
+        pointer_write ~slot ~old_value ~value:taddr
+      | _ -> ())
+    | Clear_ptr { loc; target } -> (
+      match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
+      | Some slot, Some (taddr, _) when writable slot ->
+        if Vmem.load mem slot = taddr then begin
+          Vmem.store mem slot 0;
+          pointer_write ~slot ~old_value:taddr ~value:0
+        end
+      | _ -> ())
+    | Store_data { loc; value } -> (
+      match resolve_loc loc with
+      | Some slot when writable slot ->
+        let concrete =
+          if value >= 0 then value
+          else
+            (* encoded "address of object ~(-value-1)" *)
+            match Hashtbl.find_opt addr_of (-value - 1) with
+            | Some (addr, _) -> addr
+            | None -> 0
+        in
+        Vmem.store mem slot concrete;
+        data_write ~slot
+      | _ -> ())
+    | Work cycles -> Alloc.Machine.charge machine cycles);
+    after_op op_index
+  in
+  fold_stream st ~init:0 ~f:(fun n op_index op ->
+      step op_index op;
+      n + 1)
+
+let replay t (stack : Harness.t) =
+  let executed =
+    replay_stream (stream_of_trace t) ~machine:stack.Harness.machine
+      ~malloc:(fun ~id:_ ~site size ->
+        let addr = stack.Harness.malloc_site ~site size in
+        stack.Harness.tick ();
+        addr)
+      ~free:(fun ~id:_ ~thread addr -> stack.Harness.free ~thread addr)
+      ~pointer_write:stack.Harness.on_pointer_write
+  in
+  stack.Harness.drain ();
+  executed
 
 let to_file t path =
   let oc = open_out path in

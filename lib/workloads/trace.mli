@@ -55,21 +55,32 @@ val site_of_size : sites:int -> int -> int
     agree on the attribution. *)
 
 val root_window_words : int
-(** Size of the root (stack/globals) window in words. {!replay} resolves
-    [Root w] as [w mod root_window_words]; the lint pass flags indices
-    that would wrap. *)
+(** Size of the root (stack/globals) window in words. Root word indices
+    wrap onto it by {!root_word}; the lint pass flags indices that
+    would wrap. *)
+
+(** {1 Slot wrapping}
+
+    The one rule that maps a trace word index onto a word. Replay, the
+    lint pass and the static analyzer all call these, so they always
+    agree on which word a location names. The wrap is Euclidean: a
+    negative index counts back from the end of its window ([-1] is the
+    last word), never below its start. *)
+
+val root_word : int -> int
+(** The root-window word, in [0, root_window_words), that [Root w]
+    names. *)
+
+val field_word : size:int -> int -> int option
+(** The word, in [0, size / 8), that [Field (_, w)] names inside an
+    object of [size] bytes; [None] when the object has no addressable
+    words ([size < 8]), where replay skips the store. *)
 
 val generate : ?seed:int -> Profile.t -> t
 (** Derive a concrete trace from a profile: allocations with sampled
     sizes, deaths on schedule, pointer publications and (mostly) clears
     before frees, occasional unlucky integers. Deterministic in the
     seed. *)
-
-val replay : t -> Harness.t -> int
-(** Execute the trace against a stack; returns the number of operations
-    executed. Stores into objects that are already freed (or into ids
-    never allocated) are skipped — a trace is replayable against any
-    scheme regardless of its recycling decisions. *)
 
 val length : t -> int
 val allocation_count : t -> int
@@ -118,3 +129,47 @@ val fold_stream : stream -> init:'a -> f:('a -> int -> op -> 'a) -> 'a
     in order. Single-shot: a stream can only be folded once.
     @raise Failure on malformed input, with a line number.
     @raise Invalid_argument if the stream was already consumed. *)
+
+(** {1 Replay}
+
+    One interpreter executes traces against concrete memory; {!replay}
+    and the differential oracles are thin consumers of it. *)
+
+val replay_stream :
+  ?pointer_write:(slot:int -> old_value:int -> value:int -> unit) ->
+  ?data_write:(slot:int -> unit) ->
+  ?after_op:(int -> unit) ->
+  machine:Alloc.Machine.t ->
+  malloc:(id:int -> site:int -> int -> int) ->
+  free:(id:int -> thread:int -> int -> unit) ->
+  stream ->
+  int
+(** [replay_stream ~machine ~malloc ~free st] executes every op of [st]
+    against [machine]'s memory and returns the number of ops executed.
+    The engine owns the id → (address, size) table, location
+    resolution ({!root_word}, {!field_word}) and the stores themselves;
+    the consumer supplies the allocator and observes through hooks:
+
+    - [malloc ~id ~site size] serves an [Alloc]; [site] is already
+      clamped against the stream's declared sites ({!clamp_site}).
+    - [free ~id ~thread addr] serves a [Free] of a live id, after the id
+      has left the table. Frees of unknown ids are skipped.
+    - [pointer_write ~slot ~old_value ~value] follows each executed
+      instrumented store: [Store_ptr], and [Clear_ptr] only when the
+      slot still held the target.
+    - [data_write ~slot] follows each executed [Store_data] (negative
+      values store the address of live object [-value - 1], or 0).
+    - [after_op op_index] follows every op, including skipped ones.
+
+    A store is skipped, and fires no hook, when its location does not
+    resolve (a field of a freed or never-allocated id, or of an object
+    under 8 bytes), when its slot is not a committed read-write word,
+    or when its target id is not live. [Work] charges its cycles to [machine]. A trace is
+    therefore replayable against any allocator regardless of its
+    recycling decisions. *)
+
+val replay : t -> Harness.t -> int
+(** {!replay_stream} against a stack: allocations go through
+    [malloc_site] then [tick], frees through [free], pointer writes to
+    [on_pointer_write]; the stack is drained at the end. Returns the
+    number of ops executed. *)

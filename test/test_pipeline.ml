@@ -183,31 +183,37 @@ let test_sweep_run_api () =
         (r.P.cycles >= 0 && r.P.items >= 0 && r.P.bytes >= 0))
     o.P.reports
 
-let test_mark_shims_route_through_pipeline () =
+(* A mark-only plan runs just Mark/Merge into the live shadow map: no
+   lock-in, no release decisions, the scan mode taken from the plan. *)
+let mark_only ms mode =
+  I.Sweep.run ms { (P.mark_only (I.Sweep.plan ms)) with P.mode }
+
+let test_mark_only_plans () =
   let machine, ms = fresh ~config:C.default () in
   run_workload ~ops:2_000 machine ms 3;
-  let scanned = I.mark_all_memory ms in
+  let full = mark_only ms C.Full_scan in
   (match I.Sweep.last ms with
-  | None -> Alcotest.fail "mark_all_memory published no outcome"
+  | None -> Alcotest.fail "mark-only full scan published no outcome"
   | Some o ->
-    Alcotest.(check int) "shim returns the outcome's scanned bytes" scanned
-      o.P.scanned_bytes;
-    Alcotest.(check bool) "shim plan is mark-only" true
+    Alcotest.(check int) "run returns the published outcome's scanned bytes"
+      full.P.scanned_bytes o.P.scanned_bytes;
+    Alcotest.(check bool) "plan is mark-only" true
       (List.map (fun r -> r.P.stage) o.P.reports = [ P.Mark; P.Merge ]);
     Alcotest.(check int) "no quarantine entries locked in" 0 o.P.entries;
-    Alcotest.(check bool) "shim forces a full scan" true
+    Alcotest.(check bool) "plan forces a full scan" true
       (o.P.plan.P.mode = C.Full_scan));
   let machine_i, ms_i = fresh ~config:C.incremental () in
   run_workload ~ops:2_000 machine_i ms_i 3;
-  let rescanned, replayed = I.mark_incremental ms_i in
+  let inc = mark_only ms_i C.Incremental in
+  let rescanned = inc.P.scanned_bytes - (inc.P.replayed_words * 8) in
   match I.Sweep.last ms_i with
-  | None -> Alcotest.fail "mark_incremental published no outcome"
+  | None -> Alcotest.fail "mark-only incremental scan published no outcome"
   | Some o ->
-    Alcotest.(check int) "replayed words surface in the outcome" replayed
-      o.P.replayed_words;
+    Alcotest.(check int) "replayed words surface in the outcome"
+      inc.P.replayed_words o.P.replayed_words;
     Alcotest.(check int) "rescanned bytes = scanned minus replays" rescanned
       (o.P.scanned_bytes - (o.P.replayed_words * 8));
-    Alcotest.(check bool) "shim plan marks incrementally" true
+    Alcotest.(check bool) "plan marks incrementally" true
       (o.P.plan.P.mode = C.Incremental)
 
 (* --- Export determinism across the whole pipeline ---------------------- *)
@@ -359,8 +365,8 @@ let suite =
         test_flush_batch_matches_flush_all;
       Alcotest.test_case "flush_batch edge cases" `Quick test_flush_batch_empty;
       Alcotest.test_case "Sweep.run outcome" `Quick test_sweep_run_api;
-      Alcotest.test_case "deprecated shims route through the pipeline" `Quick
-        test_mark_shims_route_through_pipeline;
+      Alcotest.test_case "mark-only plans run Mark/Merge only" `Quick
+        test_mark_only_plans;
       Alcotest.test_case "exports equivalent at 1/2/4/8 domains" `Slow
         test_exports_equivalent_across_domains;
       Alcotest.test_case "sweep.stage.* telemetry" `Quick

@@ -1,4 +1,4 @@
-(* calloc/realloc drop-in API tests, plus the fully-vs-mostly concurrent
+(* calloc_result/realloc_result drop-in API tests, plus the fully-vs-mostly concurrent
    guarantee difference of Section 4.3. *)
 
 module I = Minesweeper.Instance
@@ -12,9 +12,13 @@ let fresh ?config () =
     Layout.root_regions;
   (machine, I.create ?config machine)
 
+let ok = function Ok v -> v | Error e -> Alcotest.fail (I.error_to_string e)
+let calloc ms count size = ok (I.calloc_result ms count size)
+let realloc ms p size = ok (I.realloc_result ms p size)
+
 let test_calloc_zeroed () =
   let machine, ms = fresh () in
-  let p = I.calloc ms 8 16 in
+  let p = calloc ms 8 16 in
   for k = 0 to 15 do
     Alcotest.(check int) "zeroed word" 0
       (Vmem.load machine.Alloc.Machine.mem (p + (k * 8)))
@@ -27,7 +31,7 @@ let test_realloc_copies_and_quarantines () =
   let p = I.malloc ms 64 in
   Vmem.store machine.Alloc.Machine.mem p 111;
   Vmem.store machine.Alloc.Machine.mem (p + 56) 222;
-  let q = I.realloc ms p 256 in
+  let q = realloc ms p 256 in
   Alcotest.(check bool) "moved" true (q <> p);
   Alcotest.(check int) "prefix copied" 111 (Vmem.load machine.Alloc.Machine.mem q);
   Alcotest.(check int) "tail copied" 222
@@ -38,12 +42,16 @@ let test_calloc_overflow_rejected () =
   let _, ms = fresh () in
   (* count * size overflows the native int: a real allocator returns
      NULL rather than silently truncating the request. *)
-  Alcotest.(check int) "max_int/2 * 4 rejected" 0 (I.calloc ms (max_int / 2) 4);
-  Alcotest.(check int) "max_int * 2 rejected" 0 (I.calloc ms max_int 2);
-  Alcotest.(check int) "2 * max_int rejected" 0 (I.calloc ms 2 max_int);
+  let rejected what count size =
+    Alcotest.(check bool) what true
+      (I.calloc_result ms count size = Error I.Size_overflow)
+  in
+  rejected "max_int/2 * 4 rejected" (max_int / 2) 4;
+  rejected "max_int * 2 rejected" max_int 2;
+  rejected "2 * max_int rejected" 2 max_int;
   (* Requests that do NOT overflow keep working. *)
   Alcotest.(check bool) "ordinary calloc still served" true
-    (I.calloc ms 8 16 <> 0)
+    (calloc ms 8 16 <> 0)
 
 let test_realloc_copies_partial_tail () =
   (* Regression: the copy loop moved whole words only, dropping the
@@ -53,7 +61,7 @@ let test_realloc_copies_partial_tail () =
   let p = I.malloc ms 64 in
   Vmem.store mem (p + 56) 0x1122334455667788;
   (* Shrink to 61 bytes: 7 full words + a 5-byte tail. *)
-  let q = I.realloc ms p 61 in
+  let q = realloc ms p 61 in
   Alcotest.(check int) "surviving tail bytes copied, rest zero"
     0x4455667788
     (Vmem.load mem (q + 56))
@@ -66,7 +74,7 @@ let test_realloc_grow_from_unaligned () =
   let mem = machine.Alloc.Machine.mem in
   let p = I.malloc ms 61 in
   Vmem.store mem (p + 56) 0x0102030405060708;
-  let q = I.realloc ms p 256 in
+  let q = realloc ms p 256 in
   Alcotest.(check int) "straddling word copied in full" 0x0102030405060708
     (Vmem.load mem (q + 56))
 
@@ -74,15 +82,15 @@ let test_realloc_shrink_keeps_prefix () =
   let machine, ms = fresh () in
   let p = I.malloc ms 256 in
   Vmem.store machine.Alloc.Machine.mem p 7;
-  let q = I.realloc ms p 32 in
+  let q = realloc ms p 32 in
   Alcotest.(check int) "prefix survives shrink" 7
     (Vmem.load machine.Alloc.Machine.mem q)
 
 let test_realloc_null_and_zero () =
   let _, ms = fresh () in
-  let p = I.realloc ms 0 64 in
+  let p = realloc ms 0 64 in
   Alcotest.(check bool) "realloc(NULL) allocates" true (p <> 0);
-  let r = I.realloc ms p 0 in
+  let r = realloc ms p 0 in
   Alcotest.(check int) "realloc(p,0) frees" 0 r;
   Alcotest.(check bool) "freed into quarantine" true (I.is_quarantined ms p)
 

@@ -165,6 +165,106 @@ let test_oracle_sound_on_clean_trace () =
   Alcotest.(check (list string)) "invariants hold" []
     (List.map Diagnostic.to_string r.Sanitizer.Sweep_oracle.audit)
 
+(* --- One replay engine -------------------------------------------- *)
+
+(* One stack per [Harness.scheme] constructor, MineSweeper under each
+   sweep mode. *)
+let every_scheme =
+  let open Workloads.Harness in
+  let c = Minesweeper.Config.default in
+  [
+    Baseline;
+    Mine_sweeper c;
+    Mine_sweeper Minesweeper.Config.mostly_concurrent;
+    Mine_sweeper Minesweeper.Config.incremental;
+    Mark_us;
+    Ff_malloc;
+    Scudo_baseline;
+    Scudo_sweeper c;
+    Cr_count;
+    P_sweeper;
+    Dang_san;
+    Dl_baseline;
+    Dl_sweeper c;
+    Pooled None;
+  ]
+
+(* The word lint says the store at [op_index] wraps to ("replay wraps
+   to N"). *)
+let lint_wrapped_word trace ~op_index =
+  let d =
+    List.find
+      (fun d ->
+        d.Diagnostic.op_index = op_index
+        && d.Diagnostic.rule = "field-out-of-range")
+      (Lint.lint trace)
+  in
+  let msg = d.Diagnostic.message in
+  let key = "wraps to " in
+  let rec find i =
+    if String.sub msg i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  let at = find 0 in
+  Scanf.sscanf (String.sub msg at (String.length msg - at)) "%d" Fun.id
+
+(* Every corpus case replays without an exception through [Trace.replay]
+   under every scheme and through both oracles and the race recorder,
+   all counting the same ops; a negative word index lands on the word
+   the lint pass names. *)
+let test_corpus_replays_everywhere () =
+  List.iter
+    (fun (c : Sanitizer.Corpus.case) ->
+      let ops = Trace.length c.trace in
+      let count what n =
+        Alcotest.(check int) (c.name ^ ": " ^ what ^ " op count") ops n
+      in
+      List.iter
+        (fun scheme ->
+          let name = Workloads.Harness.scheme_name scheme in
+          let machine = fresh_machine () in
+          let stack =
+            Workloads.Harness.build scheme ~threads:c.trace.Trace.threads
+              machine
+          in
+          let bases = ref [] in
+          let slots = ref [] in
+          let stack =
+            {
+              stack with
+              Workloads.Harness.malloc_site =
+                (fun ~site size ->
+                  let addr = stack.Workloads.Harness.malloc_site ~site size in
+                  bases := !bases @ [ addr ];
+                  addr);
+              on_pointer_write =
+                (fun ~slot ~old_value ~value ->
+                  slots := slot :: !slots;
+                  stack.Workloads.Harness.on_pointer_write ~slot ~old_value
+                    ~value);
+            }
+          in
+          count name (Trace.replay c.trace stack);
+          if c.name = "negative-word-index" then begin
+            (* op 2 is [p f 1 -1 0], op 3 is [d r -1 5] *)
+            let field = lint_wrapped_word c.trace ~op_index:2 in
+            let root = lint_wrapped_word c.trace ~op_index:3 in
+            Alcotest.(check (list int))
+              (name ^ ": pointer stored at the word lint names")
+              [ List.nth !bases 1 + (8 * field) ]
+              !slots;
+            Alcotest.(check int)
+              (name ^ ": data stored at the root word lint names")
+              5
+              (Vmem.load machine.Alloc.Machine.mem
+                 (Layout.stack_base + (8 * root)))
+          end)
+        every_scheme;
+      count "sweep oracle" (Sanitizer.Sweep_oracle.run c.trace).ops;
+      count "pool oracle" (Sanitizer.Pool_oracle.run c.trace).ops;
+      count "race recorder" (Racecheck.Recorder.run c.trace).ops)
+    Sanitizer.Corpus.cases
+
 let suite =
   ( "sanitizer",
     [
@@ -189,4 +289,6 @@ let suite =
         test_oracle_flags_unsound_config;
       Alcotest.test_case "oracle: clean trace sound" `Quick
         test_oracle_sound_on_clean_trace;
+      Alcotest.test_case "corpus replays under every consumer" `Quick
+        test_corpus_replays_everywhere;
     ] )
