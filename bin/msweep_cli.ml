@@ -47,31 +47,17 @@ let find_profile suite name =
   try List.find (fun p -> p.Workloads.Profile.name = name) pool
   with Not_found -> invalid_arg ("unknown benchmark " ^ name)
 
+(* A usage error found after argument parsing: report it and exit 1. *)
+let fail msg =
+  Fmt.epr "msweep: %s@." msg;
+  exit 1
+
 (* MineSweeper configurations resolve through the canonical preset
    table; the error message already lists the accepted names. *)
 let ms_config preset =
   match Minesweeper.Config.of_preset preset with
   | Ok config -> config
-  | Error msg -> invalid_arg msg
-
-let scheme_of_string = function
-  | "baseline" -> Workloads.Harness.Baseline
-  | "minesweeper" -> Workloads.Harness.Mine_sweeper (ms_config "default")
-  | ("ms" | "ms-inc" | "mostly" | "incremental" | "incremental-mostly") as p ->
-    Workloads.Harness.Mine_sweeper (ms_config p)
-  | "markus" -> Workloads.Harness.Mark_us
-  | "ffmalloc" | "ff" -> Workloads.Harness.Ff_malloc
-  | "dlmalloc" -> Workloads.Harness.Dl_baseline
-  | "dlmalloc-minesweeper" | "dl-ms" ->
-    Workloads.Harness.Dl_sweeper (ms_config "default")
-  | "crcount" -> Workloads.Harness.Cr_count
-  | "psweeper" -> Workloads.Harness.P_sweeper
-  | "dangsan" -> Workloads.Harness.Dang_san
-  | "scudo" -> Workloads.Harness.Scudo_baseline
-  | "scudo-minesweeper" | "scudo-ms" ->
-    Workloads.Harness.Scudo_sweeper (ms_config "default")
-  | "pooled" -> Workloads.Harness.Pooled None
-  | s -> invalid_arg ("unknown scheme " ^ s)
+  | Error msg -> fail msg
 
 (* --domains overrides the marker-domain count of any MineSweeper-family
    scheme (the parallel marking engine, lib/parsweep); other schemes
@@ -86,8 +72,7 @@ let apply_domains n scheme =
       Workloads.Harness.Scudo_sweeper (Minesweeper.Config.with_domains n c)
     | Workloads.Harness.Dl_sweeper c ->
       Workloads.Harness.Dl_sweeper (Minesweeper.Config.with_domains n c)
-    | _ ->
-      invalid_arg "--domains only applies to MineSweeper-family schemes"
+    | _ -> fail "--domains only applies to MineSweeper-family schemes"
 
 let mb x = float_of_int x /. 1048576.
 
@@ -117,12 +102,15 @@ let bench_arg =
     & info [ "b"; "bench" ] ~doc:"Benchmark name")
 
 let scheme_arg =
+  let print ppf s = Fmt.string ppf (Workloads.Harness.scheme_name s) in
+  let scheme = Arg.conv' (Workloads.Harness.scheme_of_name, print) in
   Arg.(
-    value & opt string "minesweeper"
-    & info [ "s"; "scheme" ]
+    value
+    & opt scheme (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)
+    & info [ "s"; "scheme" ] ~docv:"SCHEME"
         ~doc:
-          "Scheme: baseline, minesweeper, mostly, incremental, markus, \
-           ffmalloc, pooled")
+          ("Scheme: " ^ String.concat ", " Workloads.Harness.scheme_names
+         ^ ", or an alias (ms, mostly, incremental, ff, scudo-ms, dl-ms, ...)"))
 
 let scale_arg =
   Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Trace length scale")
@@ -153,7 +141,7 @@ let run_cmd =
     let profile = find_profile suite bench in
     let r =
       Workloads.Driver.run ~ops_scale:scale profile
-        (apply_domains domains (scheme_of_string scheme))
+        (apply_domains domains scheme)
     in
     print_result r
   in
@@ -219,7 +207,7 @@ let bench_cmd =
   let f suite bench scheme scale domains repeat config metrics_out spans_out =
     let scheme =
       match config with
-      | None -> scheme_of_string scheme
+      | None -> scheme
       | Some "pooled" -> Workloads.Harness.Pooled None
       | Some "pooled-analyzed" ->
         let profile =
@@ -300,11 +288,11 @@ let trace_cmd =
   in
   let f suite bench scheme scale out =
     let _result, stack =
-      run_capturing ~suite ~bench ~scheme:(scheme_of_string scheme) ~scale
+      run_capturing ~suite ~bench ~scheme ~scale
     in
     match stack.Workloads.Harness.trace with
     | None ->
-      Fmt.epr "scheme %s keeps no trace ring@." scheme;
+      Fmt.epr "scheme %s keeps no trace ring@." stack.Workloads.Harness.scheme;
       exit 1
     | Some ring -> (
       let contents = Obs.Export.spans_to_string ring in
@@ -379,9 +367,9 @@ let attack_cmd =
         (fun (base, size) ->
           Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
         Layout.root_regions;
-      Workloads.Harness.build (scheme_of_string scheme) ~threads:1 machine
+      Workloads.Harness.build scheme ~threads:1 machine
     in
-    Fmt.pr "scheme: %s@." scheme;
+    Fmt.pr "scheme: %s@." (Workloads.Harness.scheme_name scheme);
     Fmt.pr "  vtable hijack      %s@."
       (Attack.describe (Attack.vtable_hijack (fresh ())));
     Fmt.pr "  double-free hijack %s@."
@@ -466,7 +454,7 @@ let serve_cmd =
              attacker payloads between requests and report the outcome \
              alongside the traffic's tail latency")
   in
-  let f profile_name scheme_name scale repeat metrics_out spans_out attack =
+  let f profile_name scheme scale repeat metrics_out spans_out attack =
     let profile =
       match Workloads.Server.find profile_name with
       | Some p -> p
@@ -478,7 +466,6 @@ let serve_cmd =
     let profile =
       if scale = 1.0 then profile else Workloads.Server.scale scale profile
     in
-    let scheme = scheme_of_string scheme_name in
     if attack then begin
       let machine = Alloc.Machine.create () in
       let stack = Workloads.Harness.build scheme ~threads:1 machine in
@@ -582,7 +569,11 @@ let parse_tenants ~quarantine_budget spec =
           (Fmt.str "unknown profile %s (expected one of: %s)" profile_name
              (String.concat ", " Workloads.Server.names))
     in
-    let scheme = scheme_of_string scheme_name in
+    let scheme =
+      match Workloads.Harness.scheme_of_name scheme_name with
+      | Ok scheme -> scheme
+      | Error msg -> fail (Fmt.str "tenant entry %s: %s" entry msg)
+    in
     List.init (max 1 count) (fun i ->
         let name =
           if count = 1 then profile_name
@@ -779,9 +770,7 @@ let trace_replay_cmd =
       (fun (base, size) ->
         Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
       Layout.root_regions;
-    let stack =
-      Workloads.Harness.build (scheme_of_string scheme) ~threads:1 machine
-    in
+    let stack = Workloads.Harness.build scheme ~threads:1 machine in
     let executed = Workloads.Trace.replay trace stack in
     Fmt.pr "replayed %d ops of %s under %s@." executed
       trace.Workloads.Trace.name stack.Workloads.Harness.scheme;

@@ -80,6 +80,31 @@ for scheme in baseline minesweeper mostly incremental incremental-mostly \
 done
 echo "every scheme replays the oracle's $oracle_ops ops and the negative-index trace"
 
+echo "== scheme names round-trip"
+# One scheme table: every name the CLI prints must be accepted back by
+# -s and reported under that same name, and a bad name must be a usage
+# error rather than an exception escaping the CLI.
+"$CLI" compare --suite mimalloc -b espresso --scale 0.02 >"$workdir/compare.txt"
+printed=$(sed 1d "$workdir/compare.txt" | awk '{ print $1 }')
+[ -n "$printed" ] \
+  || { echo "FAIL: compare printed no scheme names" >&2; exit 1; }
+for name in $printed scudo-minesweeper dlmalloc-minesweeper \
+    minesweeper-incremental pooled; do
+  "$CLI" bench --suite mimalloc -b espresso -s "$name" --scale 0.02 \
+    >"$workdir/name.txt" 2>&1 \
+    || { cat "$workdir/name.txt" >&2; echo "FAIL: bench -s $name exited nonzero" >&2; exit 1; }
+  grep -q "^scheme  *$name\$" "$workdir/name.txt" \
+    || { cat "$workdir/name.txt" >&2; echo "FAIL: bench -s $name did not report scheme $name" >&2; exit 1; }
+done
+if "$CLI" bench --suite mimalloc -b espresso -s nope --scale 0.02 \
+    >/dev/null 2>"$workdir/nope.err"; then
+  echo "FAIL: bench -s nope was accepted" >&2
+  exit 1
+fi
+grep -q "uncaught exception" "$workdir/nope.err" \
+  && { cat "$workdir/nope.err" >&2; echo "FAIL: bench -s nope ended in an uncaught exception" >&2; exit 1; }
+echo "every printed scheme name is accepted back; a bad name is a usage error"
+
 echo "== sweep-mode equivalence (full vs incremental)"
 # The dedicated equivalence suite: identical mark sets and decisions.
 _build/default/test/test_main.exe test minesweeper.sweep-equivalence \

@@ -37,7 +37,7 @@ let run scheme =
     let s = table.(Sim.Rng.int rng sessions) in
     if s.addr = 0 then begin
       (* connection open: allocate and stamp the session *)
-      s.addr <- stack.Workloads.Harness.malloc session_size;
+      s.addr <- stack.Workloads.Harness.malloc_site ~site:0 session_size;
       s.freed_at <- -1;
       Vmem.store mem s.addr (s.addr lxor 0x5555)
     end
@@ -52,7 +52,7 @@ let run scheme =
       end
       else begin
         (* window over: the slot is reconnected *)
-        s.addr <- stack.Workloads.Harness.malloc session_size;
+        s.addr <- stack.Workloads.Harness.malloc_site ~site:0 session_size;
         s.freed_at <- -1;
         Vmem.store mem s.addr (s.addr lxor 0x5555)
       end
@@ -64,7 +64,7 @@ let run scheme =
     end
     else begin
       (* attacker-influenced traffic: allocations the attacker fills *)
-      let a = stack.Workloads.Harness.malloc session_size in
+      let a = stack.Workloads.Harness.malloc_site ~site:0 session_size in
       Vmem.store mem a attacker_tag;
       stack.Workloads.Harness.free ~thread:0 a
     end;

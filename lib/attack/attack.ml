@@ -27,7 +27,7 @@ let read_vtable stack victim =
 
 let spray_attack ?(spray = 4096) ~double_free (stack : Workloads.Harness.t) =
   (* The program: allocate an object carrying its vtable pointer... *)
-  let victim = stack.malloc victim_size in
+  let victim = stack.malloc_site ~site:0 victim_size in
   Vmem.store (mem stack) victim legit_vtable;
   (* ...publish a pointer to it (an instrumented pointer store)... *)
   Vmem.store (mem stack) dangling_slot victim;
@@ -40,7 +40,7 @@ let spray_attack ?(spray = 4096) ~double_free (stack : Workloads.Harness.t) =
   (* The attacker sprays same-sized allocations filled with a fake
      vtable, hoping one lands on the victim's address. *)
   for _ = 1 to spray do
-    let a = stack.malloc victim_size in
+    let a = stack.malloc_site ~site:0 victim_size in
     Vmem.store (mem stack) a malicious_vtable;
     stack.tick ()
   done;
@@ -67,7 +67,7 @@ let credential_sentinel = 0x00C0_FFEE
 let unlink_corruption (stack : Workloads.Harness.t) =
   let mem = mem stack in
   Vmem.store mem credential_slot credential_sentinel;
-  let victim = stack.malloc victim_size in
+  let victim = stack.malloc_site ~site:0 victim_size in
   stack.free ~thread:0 victim;
   (* Use-after-free WRITE through the dangling pointer: forge the fd/bk
      links so that unlink writes into the credential slot. *)
@@ -77,7 +77,7 @@ let unlink_corruption (stack : Workloads.Harness.t) =
    with Vmem.Fault _ -> () (* unmapped in quarantine: write refused *));
   (* Trigger reuse of the bin. *)
   for _ = 1 to 8 do
-    ignore (stack.malloc victim_size);
+    ignore (stack.malloc_site ~site:0 victim_size);
     stack.tick ()
   done;
   if Vmem.load mem credential_slot <> credential_sentinel then Exploited
@@ -109,7 +109,7 @@ let hijack_under_traffic ?(spray = 1024) ?(double_free = false) ~profile
     live := Workloads.Server.step session
   done;
   (* The buggy handler: allocate, publish, free, keep the pointer. *)
-  let victim = stack.malloc victim_size in
+  let victim = stack.malloc_site ~site:0 victim_size in
   Vmem.store mem victim legit_vtable;
   Vmem.store mem dangling_slot victim;
   stack.on_pointer_write ~slot:dangling_slot ~old_value:0 ~value:victim;
@@ -137,7 +137,7 @@ let hijack_under_traffic ?(spray = 1024) ?(double_free = false) ~profile
     live := Workloads.Server.step session;
     let burst = min 4 (spray - !sprayed) in
     for _ = 1 to burst do
-      let a = stack.malloc victim_size in
+      let a = stack.malloc_site ~site:0 victim_size in
       Vmem.store mem a malicious_vtable
     done;
     sprayed := !sprayed + burst;
@@ -151,7 +151,7 @@ let hijack_under_traffic ?(spray = 1024) ?(double_free = false) ~profile
   (!outcome, Workloads.Server.finish session)
 
 let reuse_after_clear ?(churn = 200_000) (stack : Workloads.Harness.t) =
-  let victim = stack.malloc victim_size in
+  let victim = stack.malloc_site ~site:0 victim_size in
   Vmem.store (mem stack) victim legit_vtable;
   Vmem.store (mem stack) dangling_slot victim;
   stack.on_pointer_write ~slot:dangling_slot ~old_value:0 ~value:victim;
@@ -164,7 +164,7 @@ let reuse_after_clear ?(churn = 200_000) (stack : Workloads.Harness.t) =
   let reused = ref false in
   let i = ref 0 in
   while (not !reused) && !i < churn do
-    let a = stack.malloc victim_size in
+    let a = stack.malloc_site ~site:0 victim_size in
     if a = victim then reused := true
     else begin
       stack.free ~thread:0 a;

@@ -17,45 +17,24 @@ let scheme_keys =
     "scudo"; "scudo-minesweeper"; "crcount"; "psweeper"; "dangsan";
   ]
 
-let scheme_of_key = function
-  | "baseline" -> Workloads.Harness.Baseline
-  | "minesweeper" -> Workloads.Harness.Mine_sweeper Minesweeper.Config.default
-  | "minesweeper-mostly" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.mostly_concurrent
-  | "minesweeper-incremental" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.incremental
-  | "minesweeper-incremental-mostly" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.incremental_mostly
-  | "markus" -> Workloads.Harness.Mark_us
-  | "ffmalloc" -> Workloads.Harness.Ff_malloc
-  | "ms-unopt" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.unoptimised
-  | "ms-zero" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.plus_zeroing
-  | "ms-unmap" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.plus_unmapping
-  | "ms-conc" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.plus_concurrency
-  | "ms-partial-base" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.partial_base
-  | "ms-partial-uz" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.partial_unmap_zero
-  | "ms-partial-q" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.partial_quarantine
-  | "ms-partial-c" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.partial_concurrency
-  | "ms-partial-s" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.partial_sweep
-  | "crcount" -> Workloads.Harness.Cr_count
-  | "psweeper" -> Workloads.Harness.P_sweeper
-  | "dangsan" -> Workloads.Harness.Dang_san
-  | "scudo" -> Workloads.Harness.Scudo_baseline
-  | "scudo-minesweeper" ->
-    Workloads.Harness.Scudo_sweeper Minesweeper.Config.default
-  | "dlmalloc" -> Workloads.Harness.Dl_baseline
-  | "dlmalloc-minesweeper" ->
-    Workloads.Harness.Dl_sweeper Minesweeper.Config.default
-  | key -> invalid_arg ("unknown scheme key " ^ key)
+(* The ablation design points have experiment-only keys; every other key
+   is a scheme name ({!Workloads.Harness.scheme_of_name}). *)
+let scheme_of_key key =
+  let ms config = Workloads.Harness.Mine_sweeper config in
+  match key with
+  | "ms-unopt" -> ms Minesweeper.Config.unoptimised
+  | "ms-zero" -> ms Minesweeper.Config.plus_zeroing
+  | "ms-unmap" -> ms Minesweeper.Config.plus_unmapping
+  | "ms-conc" -> ms Minesweeper.Config.plus_concurrency
+  | "ms-partial-base" -> ms Minesweeper.Config.partial_base
+  | "ms-partial-uz" -> ms Minesweeper.Config.partial_unmap_zero
+  | "ms-partial-q" -> ms Minesweeper.Config.partial_quarantine
+  | "ms-partial-c" -> ms Minesweeper.Config.partial_concurrency
+  | "ms-partial-s" -> ms Minesweeper.Config.partial_sweep
+  | _ -> (
+    match Workloads.Harness.scheme_of_name key with
+    | Ok scheme -> scheme
+    | Error _ -> invalid_arg ("unknown scheme key " ^ key))
 
 let profiles_of_suite = function
   | "spec2006" -> Workloads.Spec2006.all

@@ -15,12 +15,14 @@ val make_env : ?scale:float -> ?verbose:bool -> unit -> env
     runs); [verbose] logs each simulation run to stderr as it starts. *)
 
 val scheme_keys : string list
-(** All scheme keys usable with {!run}: ["baseline"], ["minesweeper"],
-    ["minesweeper-mostly"], ["minesweeper-incremental"], ["markus"],
-    ["ffmalloc"], the optimisation levels ["ms-unopt"], ["ms-zero"],
-    ["ms-unmap"], ["ms-conc"], and the partial versions
-    ["ms-partial-base"], ["ms-partial-uz"], ["ms-partial-q"],
-    ["ms-partial-c"], ["ms-partial-s"]. *)
+(** The scheme keys the figures run: scheme names (["baseline"],
+    ["minesweeper"], ["minesweeper-mostly"], ["minesweeper-incremental"],
+    ["markus"], ["ffmalloc"], ...) plus the ablation keys, the
+    optimisation levels ["ms-unopt"], ["ms-zero"], ["ms-unmap"],
+    ["ms-conc"] and the partial versions ["ms-partial-base"],
+    ["ms-partial-uz"], ["ms-partial-q"], ["ms-partial-c"],
+    ["ms-partial-s"]. {!run} accepts these and any other name
+    {!Workloads.Harness.scheme_of_name} accepts. *)
 
 val run : env -> suite:string -> bench:string -> scheme:string ->
   Workloads.Driver.result

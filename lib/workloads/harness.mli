@@ -28,6 +28,18 @@ type scheme =
           {!default_pool_sites} sites (maximum segregation) *)
 
 val scheme_name : scheme -> string
+(** [baseline], [markus], ...; a MineSweeper family's name plus
+    [-mostly], [-incremental] or [-incremental-mostly] for those presets,
+    nothing for the default one and [-variant] for any other config. *)
+
+val scheme_names : string list
+(** The names {!scheme_of_name} accepts besides aliases. *)
+
+val scheme_of_name : string -> (scheme, string) result
+(** The one scheme table, the inverse of {!scheme_name} on
+    {!scheme_names} ([pooled] is [Pooled None]). Also accepts the aliases
+    [ms], [mostly], [incremental], [ms-inc], [incremental-mostly], [ff],
+    [scudo-ms] and [dl-ms]; the [Error] message lists the names. *)
 
 val default_pool_sites : int
 (** Site universe assumed by a plan-free [Pooled None] stack; matches
@@ -43,11 +55,10 @@ type t = {
           registry *)
   trace : Obs.Trace_ring.t option;
       (** the stack's span ring (events + sweep-phase profiling) *)
-  malloc : int -> int;
   malloc_site : site:int -> int -> int;
-      (** site-attributed allocation ({!Trace} replay calls this);
-          every scheme except [Pooled] ignores the site and behaves
-          exactly like [malloc] *)
+      (** allocation, attributed to an allocation site; every scheme
+          except [Pooled] ignores the site. Callers with no site in hand
+          pass [~site:0]. *)
   free : thread:int -> int -> unit;
   tick : unit -> unit;
   drain : unit -> unit;

@@ -135,7 +135,6 @@ type result = {
   dangling_left : int;
   arrivals : int array;
   oom_killed : bool;
-  extra : (string * float) list;
 }
 
 exception Out_of_memory_budget
@@ -283,7 +282,7 @@ let open_connection s =
   let bufs =
     Array.init s.sp.connection_buffers (fun _ ->
         let size = Sim.Dist.sample s.sp.connection_size s.size_rng in
-        let addr = s.stack.Harness.malloc size in
+        let addr = s.stack.Harness.malloc_site ~site:0 size in
         Alloc.Machine.charge (machine s)
           (int_of_float
              (s.sp.cache_sensitivity
@@ -321,7 +320,7 @@ let serve_one s k =
   let arena =
     Array.init n (fun _ ->
         let size = Sim.Dist.sample s.sp.request_size s.size_rng in
-        let addr = s.stack.Harness.malloc size in
+        let addr = s.stack.Harness.malloc_site ~site:0 size in
         Alloc.Machine.charge (machine s)
           (int_of_float
              (s.sp.cache_sensitivity
@@ -424,7 +423,6 @@ let finish s =
     dangling_left = s.dangling;
     arrivals = s.arrivals;
     oom_killed = s.oom;
-    extra = s.stack.Harness.extra ();
   }
 
 let scale_profile = scale

@@ -106,7 +106,7 @@ let test_harness_scudo_schemes () =
     Workloads.Harness.build Workloads.Harness.Scudo_baseline ~threads:1 machine
   in
   Alcotest.(check string) "scheme name" "scudo" stack.Workloads.Harness.scheme;
-  let p = stack.Workloads.Harness.malloc 64 in
+  let p = stack.Workloads.Harness.malloc_site ~site:0 64 in
   stack.Workloads.Harness.free ~thread:0 p;
   let machine2 = fresh () in
   let protected_stack =
@@ -116,7 +116,7 @@ let test_harness_scudo_schemes () =
   in
   Alcotest.(check string) "protected name" "scudo-minesweeper"
     protected_stack.Workloads.Harness.scheme;
-  let q = protected_stack.Workloads.Harness.malloc 64 in
+  let q = protected_stack.Workloads.Harness.malloc_site ~site:0 64 in
   protected_stack.Workloads.Harness.free ~thread:0 q;
   Alcotest.(check bool) "quarantined over scudo" true
     (protected_stack.Workloads.Harness.is_protected_addr q)

@@ -131,7 +131,133 @@ let test_scheme_names () =
        (Workloads.Harness.Mine_sweeper Minesweeper.Config.mostly_concurrent));
   Alcotest.(check string) "variant" "minesweeper-variant"
     (Workloads.Harness.scheme_name
-       (Workloads.Harness.Mine_sweeper Minesweeper.Config.unoptimised))
+       (Workloads.Harness.Mine_sweeper Minesweeper.Config.unoptimised));
+  (* Parsing is the inverse of naming for every scheme with a preset
+     configuration, under each of the three MineSweeper backends. *)
+  let open Workloads.Harness in
+  let presets =
+    Minesweeper.Config.
+      [ default; mostly_concurrent; incremental; incremental_mostly ]
+  in
+  let schemes =
+    [ Baseline; Mark_us; Ff_malloc; Scudo_baseline; Cr_count; P_sweeper;
+      Dang_san; Dl_baseline; Pooled None ]
+    @ List.concat_map
+        (fun c -> [ Mine_sweeper c; Scudo_sweeper c; Dl_sweeper c ])
+        presets
+  in
+  List.iter
+    (fun s ->
+      let name = scheme_name s in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (scheme_of_name name = Ok s);
+      Alcotest.(check bool) (name ^ " listed") true
+        (List.mem name scheme_names))
+    schemes;
+  Alcotest.(check int) "every listed name is a preset scheme"
+    (List.length schemes) (List.length scheme_names);
+  Alcotest.(check bool) "aliases resolve" true
+    (scheme_of_name "ms" = Ok (Mine_sweeper Minesweeper.Config.default)
+    && scheme_of_name "dl-ms" = Ok (Dl_sweeper Minesweeper.Config.default));
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (bad ^ " rejected") true
+        (Result.is_error (scheme_of_name bad)))
+    [ "nope"; ""; "minesweeper-variant"; "minesweeper-unoptimised";
+      "scudo-minesweeper-nope" ]
+
+(* Characterization of every stack [Harness.build] constructs: a few
+   allocations and frees through [malloc_site], then every accounting
+   field the drivers read, rendered as one line per scheme. *)
+let characterize scheme =
+  let machine = Alloc.Machine.create () in
+  List.iter
+    (fun (base, size) ->
+      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
+    Layout.root_regions;
+  let s = Workloads.Harness.build scheme ~threads:1 machine in
+  let addrs =
+    List.map (fun size -> s.malloc_site ~site:0 size) [ 64; 128; 4096; 100_000 ]
+  in
+  let freed = List.hd addrs in
+  s.free ~thread:0 freed;
+  s.free ~thread:0 (List.nth addrs 2);
+  Printf.sprintf
+    "%s dfree=%b cold=%d/%d protected=%b q=%d md=%d live=%d sweeps=%d \
+     failed=%d obs=%b trace=%b extra=[%s]"
+    s.scheme s.tolerates_double_free (s.cold_penalty 64)
+    (s.cold_penalty 100_000) (s.is_protected_addr freed)
+    (s.quarantine_bytes ()) (s.metadata_bytes ()) (s.live_bytes ())
+    (s.sweeps ()) (s.failed_frees ()) (Option.is_some s.obs)
+    (Option.is_some s.trace)
+    (String.concat "," (List.map fst (s.extra ())))
+
+let all_constructors =
+  let open Workloads.Harness in
+  [
+    Baseline;
+    Mine_sweeper Minesweeper.Config.default;
+    Mine_sweeper Minesweeper.Config.mostly_concurrent;
+    Mine_sweeper Minesweeper.Config.incremental;
+    Mark_us;
+    Ff_malloc;
+    Scudo_baseline;
+    Scudo_sweeper Minesweeper.Config.default;
+    Cr_count;
+    P_sweeper;
+    Dang_san;
+    Dl_baseline;
+    Dl_sweeper Minesweeper.Config.default;
+    Pooled None;
+  ]
+
+(* The [extra] keys every MineSweeper-family stack reports, whatever its
+   backend. *)
+let ms_extra =
+  "double_frees,stw_pauses,alloc_pauses,unmapped,swept_bytes,\
+   stw_rescanned_bytes,pages_skipped,pages_rescanned,summary_cache_bytes,\
+   pipe_mark_cycles_est,pipe_merge_cycles_est,pipe_release_cycles_est,\
+   pipe_purge_cycles_est,pipe_seq_cycles_est,pipe_pipeline_cycles_est,\
+   pipe_batches,pipe_flush_batches"
+
+let expected_characterization =
+  let ms name live =
+    Printf.sprintf
+      "%s dfree=true cold=96/12288 protected=true q=0 md=96 live=%d sweeps=0 \
+       failed=0 obs=true trace=true extra=[%s]"
+      name live ms_extra
+  in
+  let plain ?(dfree = false) ?(protected = false) ?(q = 0) ?(md = 0)
+      ?(obs = false) name ~cold ~live extra =
+    Printf.sprintf
+      "%s dfree=%b cold=%s protected=%b q=%d md=%d live=%d sweeps=0 failed=0 \
+       obs=%b trace=false extra=[%s]"
+      name dfree cold protected q md live obs extra
+  in
+  [
+    plain "baseline" ~cold:"0/0" ~live:102528 "";
+    ms "minesweeper" 107760;
+    ms "minesweeper-mostly" 107760;
+    ms "minesweeper-incremental" 107760;
+    plain "markus" ~dfree:true ~protected:true ~cold:"110/14131" ~live:106688
+      "visited_bytes";
+    plain "ffmalloc" ~protected:true ~cold:"4/614" ~live:102528 "va_consumed";
+    plain "scudo" ~cold:"9/1228" ~live:107760 "pool";
+    ms "scudo-minesweeper" 107776;
+    plain "crcount" ~dfree:true ~cold:"19/2457" ~live:102528 "pending_bytes";
+    plain "psweeper" ~dfree:true ~protected:true ~q:4160 ~md:48 ~cold:"38/4915"
+      ~live:106688 "deferred_bytes";
+    plain "dangsan" ~cold:"9/1228" ~live:102528 "log_entries";
+    plain "dlmalloc" ~cold:"0/0" ~live:100128 "bin_integrity";
+    ms "dlmalloc-minesweeper" 104320;
+    plain "pooled" ~obs:true ~cold:"4/614" ~live:102528
+      "pools,footprint_bytes,retired_bytes";
+  ]
+
+let test_stack_characterization () =
+  Alcotest.(check (list string))
+    "every stack's accounting" expected_characterization
+    (List.map characterize all_constructors)
 
 let test_spec2006_live_heaps_reasonable () =
   (* Guard against profile regressions: each benchmark's implied live
@@ -168,6 +294,8 @@ let suite =
       Alcotest.test_case "rss limit kills" `Quick test_rss_limit_kills;
       Alcotest.test_case "overhead helpers" `Quick test_overhead_helpers;
       Alcotest.test_case "scheme names" `Quick test_scheme_names;
+      Alcotest.test_case "stack characterization" `Quick
+        test_stack_characterization;
       Alcotest.test_case "live heaps reasonable" `Quick
         test_spec2006_live_heaps_reasonable;
     ] )
