@@ -38,19 +38,45 @@ let suites =
     ("mimalloc", Workloads.Mimalloc_bench.all);
   ]
 
-let find_profile suite name =
-  let pool =
-    match List.assoc_opt suite suites with
-    | Some ps -> ps
-    | None -> invalid_arg ("unknown suite " ^ suite)
-  in
-  try List.find (fun p -> p.Workloads.Profile.name = name) pool
-  with Not_found -> invalid_arg ("unknown benchmark " ^ name)
-
 (* A usage error found after argument parsing: report it and exit 1. *)
 let fail msg =
   Fmt.epr "msweep: %s@." msg;
   exit 1
+
+let find_profile suite name =
+  let pool =
+    match List.assoc_opt suite suites with
+    | Some ps -> ps
+    | None ->
+      fail
+        (Fmt.str "unknown suite %s (expected one of: %s)" suite
+           (String.concat ", " (List.map fst suites)))
+  in
+  match List.find_opt (fun p -> p.Workloads.Profile.name = name) pool with
+  | Some p -> p
+  | None ->
+    fail
+      (Fmt.str "unknown benchmark %s in suite %s (see `msweep list`)" name
+         suite)
+
+(* Trace files are user input: a missing or malformed one is a usage
+   error, reported with the file or line [Trace] names, not a crash.
+   [f] reads the trace (a streamed one is parsed while it is consumed). *)
+let reading_trace file f =
+  try f () with
+  | Sys_error msg -> fail msg
+  | Failure msg -> fail (Fmt.str "%s: %s" file msg)
+
+let load_trace file =
+  reading_trace file (fun () -> Workloads.Trace.of_file file)
+
+let find_server_profile name =
+  match Workloads.Server.find name with
+  | Some p -> p
+  | None ->
+    fail
+      (Fmt.str "unknown profile %s (expected one of: %s)" name
+         (String.concat ", " Workloads.Server.names))
 
 (* MineSweeper configurations resolve through the canonical preset
    table; the error message already lists the accepted names. *)
@@ -222,9 +248,9 @@ let bench_cmd =
     let repeat = max 1 repeat in
     let timed =
       Array.init repeat (fun _ ->
-          let t0 = Sys.time () in
+          let t0 = Unix.gettimeofday () in
           let result, stack = run_capturing ~suite ~bench ~scheme ~scale in
-          (Sys.time () -. t0, result, stack))
+          (Unix.gettimeofday () -. t0, result, stack))
     in
     let _, result, stack = timed.(0) in
     Array.iter
@@ -455,14 +481,7 @@ let serve_cmd =
              alongside the traffic's tail latency")
   in
   let f profile_name scheme scale repeat metrics_out spans_out attack =
-    let profile =
-      match Workloads.Server.find profile_name with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          (Fmt.str "unknown profile %s (expected one of: %s)" profile_name
-             (String.concat ", " Workloads.Server.names))
-    in
+    let profile = find_server_profile profile_name in
     let profile =
       if scale = 1.0 then profile else Workloads.Server.scale scale profile
     in
@@ -538,37 +557,30 @@ let serve_cmd =
 let parse_tenants ~quarantine_budget spec =
   let parse_entry entry =
     let entry = String.trim entry in
-    let entry, weight =
-      match String.index_opt entry '@' with
-      | Some i ->
-        ( String.sub entry 0 i,
-          int_of_string (String.sub entry (i + 1) (String.length entry - i - 1))
-        )
+    (* Split [entry] at the first [sep] into the part before it and the
+       integer after it (default 1). *)
+    let suffix sep what entry =
+      match String.index_opt entry sep with
       | None -> (entry, 1)
+      | Some i -> (
+        let digits = String.sub entry (i + 1) (String.length entry - i - 1) in
+        match int_of_string_opt digits with
+        | Some n -> (String.sub entry 0 i, n)
+        | None ->
+          fail
+            (Fmt.str "tenant entry %s: %s %S is not an integer" entry what
+               digits))
     in
-    let entry, count =
-      match String.index_opt entry '*' with
-      | Some i ->
-        ( String.sub entry 0 i,
-          int_of_string (String.sub entry (i + 1) (String.length entry - i - 1))
-        )
-      | None -> (entry, 1)
-    in
+    let entry, weight = suffix '@' "weight" entry in
+    let entry, count = suffix '*' "count" entry in
     let profile_name, scheme_name =
       match String.index_opt entry ':' with
       | Some i ->
         ( String.sub entry 0 i,
           String.sub entry (i + 1) (String.length entry - i - 1) )
-      | None -> invalid_arg ("tenant entry needs profile:scheme, got " ^ entry)
+      | None -> fail ("tenant entry needs profile:scheme, got " ^ entry)
     in
-    let profile =
-      match Workloads.Server.find profile_name with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          (Fmt.str "unknown profile %s (expected one of: %s)" profile_name
-             (String.concat ", " Workloads.Server.names))
-    in
+    let profile = find_server_profile profile_name in
     let scheme =
       match Workloads.Harness.scheme_of_name scheme_name with
       | Ok scheme -> scheme
@@ -692,17 +704,23 @@ let fleet_cmd =
     let scheduler =
       match Fleet.scheduler_of_string scheduler with
       | Some s -> s
-      | None -> invalid_arg ("unknown scheduler " ^ scheduler)
+      | None ->
+        fail
+          ("unknown scheduler " ^ scheduler
+         ^ " (expected round-robin or priority)")
     in
     let purge_order =
       match Fleet.purge_order_of_string purge with
       | Some p -> p
-      | None -> invalid_arg ("unknown purge order " ^ purge)
+      | None ->
+        fail
+          ("unknown purge order " ^ purge
+         ^ " (expected largest-quarantine or round-robin)")
     in
     let specs =
       parse_tenants ~quarantine_budget:(qbudget * 1024 * 1024) tenants_spec
     in
-    if specs = [] then invalid_arg "empty tenant spec";
+    if specs = [] then fail "empty tenant spec";
     let cfg =
       Fleet.config ~budget:(budget * 1024 * 1024) ~scheduler ~purge_order ()
     in
@@ -764,7 +782,7 @@ let trace_replay_cmd =
       required & opt (some string) None & info [ "i"; "in" ] ~doc:"Trace file")
   in
   let f input scheme =
-    let trace = Workloads.Trace.of_file input in
+    let trace = load_trace input in
     let machine = Alloc.Machine.create () in
     List.iter
       (fun (base, size) ->
@@ -871,7 +889,7 @@ let check_cmd =
     in
     List.iter
       (fun file ->
-        let trace = Workloads.Trace.of_file file in
+        let trace = load_trace file in
         let diags = Sanitizer.Trace_lint.lint trace in
         Fmt.pr "%s: lint: %d finding(s)@." file (List.length diags);
         print_diags diags;
@@ -1046,25 +1064,28 @@ let analyze_cmd =
     let policies =
       match Flowcheck.Policy.of_string policy with
       | Ok ps -> ps
-      | Error msg -> invalid_arg msg
+      | Error msg -> fail msg
     in
     let errs = ref 0 in
     let warns = ref 0 in
     let json_lines = ref [] in
     List.iter
       (fun file ->
-        let stream =
+        let stream () =
           Workloads.Trace.stream_of_file ~chunk_ops:(max 1 chunk) file
         in
-        let r = Flowcheck.Report.analyze ~policies stream in
+        let r =
+          reading_trace file (fun () ->
+              Flowcheck.Report.analyze ~policies (stream ()))
+        in
         print_string (Flowcheck.Report.render r);
         (* Streams are single-shot, so the pooling pass re-opens the
            file; both passes see the identical chunking. *)
         let plan =
           if pools then
             Some
-              (Flowcheck.Poolplan.of_stream
-                 (Workloads.Trace.stream_of_file ~chunk_ops:(max 1 chunk) file))
+              (reading_trace file (fun () ->
+                   Flowcheck.Poolplan.of_stream (stream ())))
           else None
         in
         Option.iter (fun p -> print_string (Flowcheck.Poolplan.render p)) plan;

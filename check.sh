@@ -105,6 +105,44 @@ grep -q "uncaught exception" "$workdir/nope.err" \
   && { cat "$workdir/nope.err" >&2; echo "FAIL: bench -s nope ended in an uncaught exception" >&2; exit 1; }
 echo "every printed scheme name is accepted back; a bad name is a usage error"
 
+echo "== bad command-line values are usage errors"
+# Every value the CLI resolves after parsing (benchmark, suite, server
+# profile, tenant spec, scheduler, purge order, trace file) must fail
+# with a "msweep: ..." message and a usage exit code, never with an
+# exception escaping to cmdliner (exit 125, "uncaught exception").
+printf 'garbage\n' >"$workdir/bad.trace"
+set -f # tenant specs carry '*'
+while read -r args; do
+  set +e
+  # shellcheck disable=SC2086
+  "$CLI" $args >/dev/null 2>"$workdir/bad.err"
+  rc=$?
+  set -e
+  if [ "$rc" -eq 0 ] || [ "$rc" -eq 125 ] \
+      || grep -q "uncaught exception" "$workdir/bad.err" \
+      || ! grep -q "^msweep: " "$workdir/bad.err"; then
+    cat "$workdir/bad.err" >&2
+    echo "FAIL: msweep $args was not a usage error (exit $rc)" >&2
+    exit 1
+  fi
+done <<EOF
+bench -b nonesuch
+bench --suite nonesuch -b gcc
+run --suite mimalloc -b nonesuch
+serve -p nonesuch
+fleet --tenants steady:baseline*x
+fleet --tenants steady:baseline@x
+fleet --tenants steady
+fleet --scheduler nonesuch
+fleet --purge-order nonesuch
+check -i $workdir/missing.trace
+check -i $workdir/bad.trace
+analyze -i $workdir/bad.trace
+trace-replay -i $workdir/bad.trace
+EOF
+set +f
+echo "bad benchmark, suite, profile, tenant, scheduler, purge order and trace values are usage errors"
+
 echo "== sweep-mode equivalence (full vs incremental)"
 # The dedicated equivalence suite: identical mark sets and decisions.
 _build/default/test/test_main.exe test minesweeper.sweep-equivalence \

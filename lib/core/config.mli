@@ -23,10 +23,12 @@ module Sweep : sig
         (** every sweep rescans all readable program memory (the paper's
             baseline marking phase, Section 4.4) *)
     | Incremental
-        (** keep soft-dirty-style write tracking live between sweeps and
-            cache a per-page pointer summary: only pages written since
-            the previous sweep are rescanned, clean pages replay their
-            cached summary into the shadow map *)
+        (** keep soft-dirty-style write tracking live between sweeps:
+            only pages written since the previous sweep are rescanned,
+            clean pages replay their per-page pointer summary into the
+            shadow map. Either mode marks from the summaries vmem keeps
+            exact; the mode decides what the simulated sweep reads and
+            is charged for. *)
 
   type t = {
     mode : mode;

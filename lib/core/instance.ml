@@ -44,18 +44,6 @@ type sweep_state = {
   mark_pipelined : int;
 }
 
-(* Incremental sweeping (Config.Incremental): what the last scan of a
-   page found. [targets] holds every word of the page that lay in the
-   heap address range [heap_base, heap_limit) at capture time, deduped
-   and sorted; the wilderness filter is applied at replay time because
-   the wilderness moves between sweeps. [gen] is the vmem scan
-   generation current when the summary was captured: the summary is
-   coherent iff the page's write generation is still below it. *)
-type page_summary = {
-  gen : int;
-  targets : int array;
-}
-
 (* Telemetry of the parallel marking engine, registered only when the
    configuration asks for more than one marker domain: a domains=1 run
    exports exactly the historical metric set, which is what lets the
@@ -104,7 +92,6 @@ type t = {
   par : par_telemetry option;
   stage_obs : stage_telemetry;
   log : Event_log.t;
-  mutable summaries : (int, page_summary) Hashtbl.t; (* page index *)
   mutable sweep : sweep_state option;
   mutable last_decay_tick : int;
   mutable post_sweep_hook : (unit -> unit) option;
@@ -190,7 +177,6 @@ let create ?(config = Config.default) ?(threads = 1) ?obs machine =
       par;
       stage_obs;
       log = Event_log.create ~ring ();
-      summaries = Hashtbl.create 1024;
       sweep = None;
       last_decay_tick = 0;
       post_sweep_hook = None;
@@ -304,133 +290,47 @@ let record_par t (stats : Parsweep.stats) =
           ())
       stats.Parsweep.seeded_bytes
 
-(* Full scan as a Mark/Merge stage pair, unified over every domain
-   count. The Mark stage has the workers compute per-page hit arrays
-   over a canonical (ascending, zero-copy) snapshot — at domains = 1
-   the chunk map runs inline on the calling domain, same structure, no
-   pool. The Merge stage then walks the chunks in chunk-id order: emits
-   the Mark_page events, writes the shadow map and counts swept bytes.
-   The merge is the only writer of shared state, so the outcome is
-   byte-identical for any domain count and steal schedule. Returns
-   [(swept_bytes, stage_reports, mark_pipelined)]. *)
-let run_full_scan t =
-  Shadow.clear t.shadow;
-  let c = cost t in
-  let wilderness = B.wilderness t.je in
-  let pages =
-    Array.map
-      (fun (base, bytes, write_gen) -> { Parsweep.base; bytes; write_gen })
-      (Vmem.snapshot_readable_pages (mem t))
-  in
-  let chunks = Parsweep.shard pages in
-  let scan (ch : Parsweep.chunk) =
-    Array.map
-      (fun (p : Parsweep.page) ->
-        (* The page's exact heap-range words, as a private array: the
-           scan shares no scratch state between worker domains. *)
-        Vmem.frame_words p.Parsweep.bytes ~lo:Layout.heap_base ~hi:wilderness)
-      ch.Parsweep.pages
-  in
-  let mark_report, (per_chunk, stats) =
-    in_stage t Pipeline.Mark (fun () ->
-        let per_chunk, stats =
-          Parsweep.map_chunks ~domains:(Config.domains t.config) ~scan chunks
-        in
-        let bytes = stats.Parsweep.total_bytes in
-        ( Array.length pages,
-          bytes,
-          Sim.Cost.bytes_cost c.Sim.Cost.mark_single_per_byte bytes,
-          (per_chunk, stats) ))
-  in
-  let sweep = sweep_number t in
-  let merge_report, swept =
-    in_stage t Pipeline.Merge (fun () ->
-        let swept = ref 0 in
-        Array.iteri
-          (fun ci hits_per_page ->
-            let chunk = chunks.(ci) in
-            Array.iteri
-              (fun pi hits ->
-                emit_sync t
-                  (Mark_page
-                     { sweep; base = chunk.Parsweep.pages.(pi).Parsweep.base });
-                Array.iter (Shadow.mark t.shadow) hits;
-                swept := !swept + page)
-              hits_per_page)
-          per_chunk;
-        let pages_n = !swept / page in
-        (pages_n, !swept, pages_n * c.Sim.Cost.merge_per_page, !swept))
-  in
-  record_par t stats;
-  count t.stats.Stats.Live.swept_bytes swept;
-  let mark_pipelined =
-    Parsweep.critical_path_cycles
-      ~single_per_byte:c.Sim.Cost.mark_single_per_byte
-      ~bandwidth_per_byte:bandwidth_cycles_per_byte stats
-  in
-  (swept, [ mark_report; merge_report ], mark_pipelined)
+(* A frame's pointer summary: the one vmem keeps with the page, or a
+   fresh scan when that is stale. Runs on worker domains. *)
+let frame_summary f =
+  match Vmem.summary f with Some words -> words | None -> Vmem.scan_summary f
 
-(* All words of a page that lie in the heap *address range*, deduped and
-   sorted. The wilderness is deliberately not consulted here: it grows
-   between sweeps, so a summary filtered by today's wilderness would miss
-   pointers into tomorrow's heap. Filtering happens at mark time. *)
-let summarize_page bytes =
-  let targets =
-    Vmem.frame_words bytes ~lo:Layout.heap_base ~hi:Layout.heap_limit
-  in
-  let n = Array.length targets in
-  if n <= 1 then targets
-  else begin
-    Array.sort (fun (a : int) b -> compare a b) targets;
-    (* Dedup the sorted run in place. *)
-    let kept = ref 1 in
-    for i = 1 to n - 1 do
-      if targets.(i) <> targets.(!kept - 1) then begin
-        targets.(!kept) <- targets.(i);
-        incr kept
-      end
-    done;
-    if !kept = n then targets else Array.sub targets 0 !kept
-  end
-
-(* Incremental marking as a Mark/Merge stage pair, unified over every
-   domain count: rescan only pages written (or zeroed, decommitted,
-   protected, remapped) since their summary was captured; replay the
-   cached summary for the rest. The summary table is not domain-safe,
-   so the coordinator classifies every page (replay vs rescan) against
-   it up front; the Mark stage ships only the rescan pages to the
-   workers, which run [summarize_page] — the expensive part — on
-   private buffers. The Merge stage then walks the full canonical
-   snapshot: replayed pages take their cached targets, rescanned pages
-   the worker-produced summary, and the table is rebuilt from scratch so
-   entries for unmapped pages fall away. Every counter, gauge and
-   Mark_page event is identical at any domain count. Returns
-   [(rescanned_bytes, replayed_targets, stage_reports, mark_pipelined)]. *)
-let run_incremental t =
+(* The Mark/Merge stage pair of both sweep modes, unified over every
+   domain count. Marks come from the pointer summaries vmem keeps exact
+   with each page; the mode decides only what the simulated sweeper
+   re-reads, which is what is sharded and charged: a full scan re-reads
+   every readable page, an incremental sweep only the pages stamped
+   since the last incremental sweep's generation (see
+   {!Vmem.write_generation}) and replays the summaries of the rest at a
+   charge per word. The Mark stage shards the re-read pages over a
+   canonical (ascending, zero-copy) snapshot; workers scan just the
+   frames whose summary is stale — at domains = 1 the chunk map runs
+   inline, same structure, no pool. The Merge stage then walks the whole
+   snapshot in order: emits the Mark_page events, stores each summary
+   back (the merge is the only writer of shared state), marks the
+   summary words below the wilderness and counts the bytes. The outcome
+   is byte-identical for any domain count and steal schedule. Returns
+   [(rescanned_bytes, replayed_words, stage_reports, mark_pipelined)]. *)
+let run_mark t mode =
   Shadow.clear t.shadow;
   let c = cost t in
   let m = mem t in
-  let gen = Vmem.advance_generation m in
   let wilderness = B.wilderness t.je in
-  let snapshot = Vmem.snapshot_readable_pages m in
-  let replayable base write_gen =
-    match Hashtbl.find_opt t.summaries (base / page) with
-    | Some s -> write_gen < s.gen
-    | None -> false
+  let frames = Vmem.snapshot_readable_pages m in
+  let rescan_frames =
+    match mode with
+    | Config.Full_scan -> frames
+    | Config.Incremental ->
+      let last = Vmem.generation m in
+      ignore (Vmem.advance_generation m);
+      Array.of_seq
+        (Seq.filter
+           (fun f -> Vmem.frame_write_gen f >= last)
+           (Array.to_seq frames))
   in
-  let rescan_pages =
-    Array.of_list
-      (List.filter_map
-         (fun (base, bytes, write_gen) ->
-           if replayable base write_gen then None
-           else Some { Parsweep.base; bytes; write_gen })
-         (Array.to_list snapshot))
-  in
-  let chunks = Parsweep.shard rescan_pages in
-  let scan (ch : Parsweep.chunk) =
-    Array.map
-      (fun (p : Parsweep.page) -> summarize_page p.Parsweep.bytes)
-      ch.Parsweep.pages
+  let chunks = Parsweep.shard ~page_bytes:page rescan_frames in
+  let scan (ch : Vmem.frame Parsweep.chunk) =
+    Array.map frame_summary ch.Parsweep.pages
   in
   let mark_report, (per_chunk, stats) =
     in_stage t Pipeline.Mark (fun () ->
@@ -438,67 +338,57 @@ let run_incremental t =
           Parsweep.map_chunks ~domains:(Config.domains t.config) ~scan chunks
         in
         let bytes = stats.Parsweep.total_bytes in
-        ( Array.length rescan_pages,
+        ( Array.length rescan_frames,
           bytes,
           Sim.Cost.bytes_cost c.Sim.Cost.mark_single_per_byte bytes,
           (per_chunk, stats) ))
   in
-  let fresh_targets = Hashtbl.create (max 64 (Array.length rescan_pages)) in
-  Array.iteri
-    (fun ci targets_per_page ->
-      Array.iteri
-        (fun pi targets ->
-          Hashtbl.replace fresh_targets
-            (chunks.(ci).Parsweep.pages.(pi).Parsweep.base / page)
-            targets)
-        targets_per_page)
-    per_chunk;
+  let rescanned_words = Array.concat (Array.to_list per_chunk) in
+  let rescanned_pages = Array.length rescan_frames in
+  let rescanned = rescanned_pages * page in
   let sweep = sweep_number t in
-  let merge_report, (rescanned, replayed) =
+  let merge_report, replayed =
     in_stage t Pipeline.Merge (fun () ->
-        let fresh = Hashtbl.create (max 64 (Hashtbl.length t.summaries)) in
-        let rescanned = ref 0 and replayed = ref 0 in
-        let skipped_pages = ref 0 and rescanned_pages = ref 0 in
+        let replayed = ref 0 and cache_bytes = ref 0 in
+        let next = ref 0 in
         Array.iter
-          (fun (base, _bytes, write_gen) ->
-            emit_sync t (Mark_page { sweep; base });
-            let index = base / page in
-            match Hashtbl.find_opt t.summaries index with
-            | Some s when write_gen < s.gen ->
-              (* Untouched since capture: the cached targets are exactly
-                 what a rescan would find. *)
-              Array.iter
-                (fun v -> if v < wilderness then Shadow.mark t.shadow v)
-                s.targets;
-              replayed := !replayed + Array.length s.targets;
-              incr skipped_pages;
-              Hashtbl.replace fresh index { gen; targets = s.targets }
-            | Some _ | None ->
-              let targets =
-                match Hashtbl.find_opt fresh_targets index with
-                | Some targets -> targets
-                | None -> assert false
-              in
-              Array.iter
-                (fun v -> if v < wilderness then Shadow.mark t.shadow v)
-                targets;
-              rescanned := !rescanned + page;
-              incr rescanned_pages;
-              Hashtbl.replace fresh index { gen; targets })
-          snapshot;
-        t.summaries <- fresh;
-        count t.stats.Stats.Live.swept_bytes !rescanned;
-        count t.stats.Stats.Live.sweep_pages_skipped !skipped_pages;
-        count t.stats.Stats.Live.sweep_pages_rescanned !rescanned_pages;
-        R.Gauge.set t.stats.Stats.Live.summary_cache_bytes
-          (Hashtbl.fold
-             (fun _ s acc -> acc + (3 * word) + (Array.length s.targets * word))
-             fresh 0);
-        let pages_n = Array.length snapshot in
+          (fun f ->
+            emit_sync t (Mark_page { sweep; base = Vmem.frame_base f });
+            let words =
+              if !next < rescanned_pages && rescan_frames.(!next) == f then begin
+                let words = rescanned_words.(!next) in
+                incr next;
+                words
+              end
+              else begin
+                (* Unstamped since the last incremental sweep stored it,
+                   so the summary is known (vmem invalidates only on
+                   writes, which stamp). *)
+                let words = frame_summary f in
+                replayed := !replayed + Array.length words;
+                words
+              end
+            in
+            Vmem.set_summary f words;
+            Array.iter
+              (fun v -> if v < wilderness then Shadow.mark t.shadow v)
+              words;
+            cache_bytes :=
+              !cache_bytes + (3 * word) + (Array.length words * word))
+          frames;
+        count t.stats.Stats.Live.swept_bytes rescanned;
+        (match mode with
+        | Config.Full_scan -> ()
+        | Config.Incremental ->
+          count t.stats.Stats.Live.sweep_pages_skipped
+            (Array.length frames - rescanned_pages);
+          count t.stats.Stats.Live.sweep_pages_rescanned rescanned_pages;
+          R.Gauge.set t.stats.Stats.Live.summary_cache_bytes !cache_bytes);
+        let pages_n = Array.length frames in
         ( pages_n,
-          !rescanned,
+          rescanned,
           pages_n * c.Sim.Cost.merge_per_page,
-          (!rescanned, !replayed) ))
+          !replayed ))
   in
   record_par t stats;
   let mark_pipelined =
@@ -508,29 +398,26 @@ let run_incremental t =
   in
   (rescanned, replayed, [ mark_report; merge_report ], mark_pipelined)
 
-(* Audit-only reference marks: build the mark set each strategy would
-   produce right now into a scratch shadow, charging no simulated cost
-   and mutating no instance state (no generation advance, no summary
-   swap). [Sanitizer.Invariants] compares the two for equality. *)
+(* Audit-only reference marks: build a mark set into a scratch shadow,
+   charging no simulated cost and mutating no instance or vmem state.
+   [Sanitizer.Invariants] compares the two for equality. *)
 let reference_full_mark t =
   let shadow = Shadow.create ~granule:t.config.Config.shadow_granule () in
   let wilderness = B.wilderness t.je in
   Vmem.iter_readable_pages (mem t) (fun _base bytes ->
-      let words = page / word in
-      for k = 0 to words - 1 do
-        let w = Int64.to_int (Bytes.get_int64_le bytes (k * word)) in
-        if w >= Layout.heap_base && w < wilderness then Shadow.mark shadow w
-      done);
+      Array.iter (Shadow.mark shadow)
+        (Vmem.frame_words bytes ~lo:Layout.heap_base ~hi:wilderness));
   shadow
 
-let reference_incremental_mark t =
+let reference_summary_mark t =
   let shadow = Shadow.create ~granule:t.config.Config.shadow_granule () in
   let wilderness = B.wilderness t.je in
-  let mark v = if v < wilderness then Shadow.mark shadow v in
-  Vmem.iter_readable_pages_gen (mem t) (fun base bytes ~write_gen ->
-      match Hashtbl.find_opt t.summaries (base / page) with
-      | Some s when write_gen < s.gen -> Array.iter mark s.targets
-      | Some _ | None -> Array.iter mark (summarize_page bytes));
+  Array.iter
+    (fun f ->
+      Array.iter
+        (fun v -> if v < wilderness then Shadow.mark shadow v)
+        (frame_summary f))
+    (Vmem.snapshot_readable_pages (mem t));
   shadow
 
 let mark_dirty_pages t =
@@ -757,30 +644,27 @@ let start_sweep_plan t (plan : Pipeline.plan) =
   if List.mem Pipeline.Mark plan.Pipeline.stages then begin
     (* The mark span's [bytes] carries exactly what this phase charged to
        [swept_bytes]: summing mark + scan spans reproduces the counter. *)
-    (match plan.Pipeline.mode with
-    | Config.Full_scan ->
-      let pending = Ring.enter ~now:(now t) Ring.Mark "mark-full" in
-      let swept, reports, mp =
-        Alloc.Machine.with_sink t.machine sink (fun () -> run_full_scan t)
-      in
-      Ring.exit t.ring pending ~now:(now t) ~bytes:swept
-        ~attrs:[ ("sweep", sweep_number t) ]
-        ();
-      scanned_bytes := swept;
-      head_reports := reports;
-      mark_pipelined := mp
-    | Config.Incremental ->
-      let pending = Ring.enter ~now:(now t) Ring.Mark "mark-incremental" in
-      let rescanned, replayed, reports, mp =
-        Alloc.Machine.with_sink t.machine sink (fun () -> run_incremental t)
-      in
-      Ring.exit t.ring pending ~now:(now t) ~bytes:rescanned
-        ~attrs:[ ("sweep", sweep_number t); ("replayed_words", replayed) ]
-        ();
-      scanned_bytes := rescanned + (replayed * word);
-      replayed_words := replayed;
-      head_reports := reports;
-      mark_pipelined := mp);
+    let mode = plan.Pipeline.mode in
+    let pending =
+      Ring.enter ~now:(now t) Ring.Mark
+        (match mode with
+        | Config.Full_scan -> "mark-full"
+        | Config.Incremental -> "mark-incremental")
+    in
+    let rescanned, replayed, reports, mp =
+      Alloc.Machine.with_sink t.machine sink (fun () -> run_mark t mode)
+    in
+    Ring.exit t.ring pending ~now:(now t) ~bytes:rescanned
+      ~attrs:
+        (match mode with
+        | Config.Full_scan -> [ ("sweep", sweep_number t) ]
+        | Config.Incremental ->
+          [ ("sweep", sweep_number t); ("replayed_words", replayed) ])
+      ();
+    scanned_bytes := rescanned + (replayed * word);
+    replayed_words := replayed;
+    head_reports := reports;
+    mark_pipelined := mp;
     R.Histogram.observe t.scan_hist !scanned_bytes;
     busy := Sim.Cost.bytes_cost c.Sim.Cost.sweep_per_byte !scanned_bytes
   end;
@@ -827,15 +711,10 @@ let start_sweep t = start_sweep_plan t (Pipeline.plan_of_config t.config)
    sweep counted and no simulated cost charged. *)
 let run_pipeline t (plan : Pipeline.plan) =
   if not (List.mem Pipeline.Release plan.Pipeline.stages) then begin
-    let scanned_bytes, replayed_words, reports, mark_pipelined =
-      match plan.Pipeline.mode with
-      | Config.Full_scan ->
-        let swept, reports, mp = run_full_scan t in
-        (swept, 0, reports, mp)
-      | Config.Incremental ->
-        let rescanned, replayed, reports, mp = run_incremental t in
-        (rescanned + (replayed * word), replayed, reports, mp)
+    let rescanned, replayed_words, reports, mark_pipelined =
+      run_mark t plan.Pipeline.mode
     in
+    let scanned_bytes = rescanned + (replayed_words * word) in
     let sequential_cycles, pipelined_cycles =
       Pipeline.modeled_cycles plan ~batches:1 ~mark_pipelined reports
     in

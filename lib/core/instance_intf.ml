@@ -206,13 +206,13 @@ module type S = sig
   val reference_full_mark : t -> Shadow.t
   (** A from-scratch full mark of all readable memory into a scratch
       shadow map: no simulated cost is charged and no instance state is
-      touched. The ground truth the incremental strategy must match. *)
+      touched. The ground truth the pointer summaries must match. *)
 
-  val reference_incremental_mark : t -> Shadow.t
-  (** The mark set the incremental strategy would produce right now —
-      cached summaries replayed for clean pages, dirty pages rescanned —
-      into a scratch shadow map, without advancing the scan generation or
-      replacing the summary cache. [Sanitizer.Invariants] checks it
+  val reference_summary_mark : t -> Shadow.t
+  (** The mark set a sweep in either mode would produce right now — each
+      readable page's pointer summary as vmem keeps it, stale ones
+      recomputed — into a scratch shadow map, without advancing the scan
+      generation or storing any summary. [Sanitizer.Invariants] checks it
       equals {!reference_full_mark}. *)
 
   val iter_unmapped_pages : t -> (int -> unit) -> unit

@@ -1,20 +1,15 @@
-type page = { base : int; bytes : Bytes.t; write_gen : int }
-type chunk = { cid : int; pages : page array; chunk_bytes : int }
+type 'p chunk = { cid : int; pages : 'p array; chunk_bytes : int }
 
 let default_chunk_pages = 32
 
-let shard ?(chunk_pages = default_chunk_pages) pages =
+let shard ?(chunk_pages = default_chunk_pages) ~page_bytes pages =
   assert (chunk_pages > 0);
   let n = Array.length pages in
   let chunks = (n + chunk_pages - 1) / chunk_pages in
   Array.init chunks (fun cid ->
       let first = cid * chunk_pages in
       let len = min chunk_pages (n - first) in
-      let pages = Array.sub pages first len in
-      let chunk_bytes =
-        Array.fold_left (fun acc p -> acc + Bytes.length p.bytes) 0 pages
-      in
-      { cid; pages; chunk_bytes })
+      { cid; pages = Array.sub pages first len; chunk_bytes = len * page_bytes })
 
 type stats = {
   domains : int;

@@ -25,21 +25,14 @@
       merged outcome is bit-for-bit identical for any domain count and
       any steal schedule.
 
-    The engine is policy-free: it does not know about shadow maps or
-    summaries. The sweep pipeline's Mark stage ([Instance.Sweep.run])
-    passes a [scan] that collects candidate quarantine hits in full-scan
-    mode, or one that builds per-page pointer summaries for the pages
-    classified for rescan in incremental mode. *)
+    The engine is policy-free: it does not know what a page is, about
+    shadow maps or about summaries. The sweep pipeline's Mark stage
+    ([Instance.Sweep.run]) shards vmem frames and passes a [scan] that
+    computes the pointer summary of every frame whose summary is stale. *)
 
-type page = {
-  base : int;  (** page base address *)
-  bytes : Bytes.t;  (** live page frame (read-only; never copied) *)
-  write_gen : int;  (** last-write scan generation (incremental mode) *)
-}
-
-type chunk = {
+type 'p chunk = {
   cid : int;  (** dense chunk id: the canonical merge order *)
-  pages : page array;  (** consecutive pages, ascending base *)
+  pages : 'p array;  (** consecutive pages, ascending base *)
   chunk_bytes : int;  (** total payload bytes in [pages] *)
 }
 
@@ -48,10 +41,10 @@ val default_chunk_pages : int
     stealing can rebalance a skewed address space, large enough that
     deque traffic is noise against the scan cost. *)
 
-val shard : ?chunk_pages:int -> page array -> chunk array
+val shard : ?chunk_pages:int -> page_bytes:int -> 'p array -> 'p chunk array
 (** Slice a base-sorted page snapshot into chunks of [chunk_pages]
-    consecutive pages (last chunk may be short). Chunk ids number the
-    slices in address order. *)
+    consecutive pages (last chunk may be short), each page [page_bytes]
+    long. Chunk ids number the slices in address order. *)
 
 type stats = {
   domains : int;  (** pool size actually used *)
@@ -73,7 +66,7 @@ val imbalance : stats -> int
     time; the gauge records what there was to erase). *)
 
 val map_chunks :
-  domains:int -> scan:(chunk -> 'a) -> chunk array -> 'a array * stats
+  domains:int -> scan:('p chunk -> 'a) -> 'p chunk array -> 'a array * stats
 (** [map_chunks ~domains ~scan chunks] executes [scan] on every chunk
     across a pool of [domains] worker domains (the calling domain works
     too: [domains - 1] are spawned, then joined before returning) and

@@ -266,40 +266,36 @@ let check_shadow ms je shadow out =
          !count)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental-sweep summary cache vs a from-scratch full mark.         *)
+(* Pointer summaries vs a from-scratch full mark.                       *)
 
 let check_summary ms out =
-  let config = Instance.config ms in
-  match Minesweeper.Config.sweep_mode config with
-  | Minesweeper.Config.Full_scan -> ()
-  | Minesweeper.Config.Incremental ->
-    (* The whole point of the summary cache is that replaying it is
-       indistinguishable from rescanning: the mark set the incremental
-       strategy would build right now must equal the ground-truth full
-       mark, granule for granule. Any divergence means an invalidation
-       rule (store/zero/decommit/protect/remap) was missed. *)
-    let full = Instance.reference_full_mark ms in
-    let inc = Instance.reference_incremental_mark ms in
-    Shadow.iter_marked full (fun addr ->
-        if not (Shadow.is_marked inc addr) then
-          out
-            (finding ~rule:"inv-summary"
-               "full mark at %#x missing from the incremental rebuild (stale \
-                summary hides a dangling pointer)"
-               addr));
-    Shadow.iter_marked inc (fun addr ->
-        if not (Shadow.is_marked full addr) then
-          out
-            (finding ~rule:"inv-summary"
-               "incremental mark at %#x absent from the full mark (summary \
-                replays a dead pointer)"
-               addr));
-    if Shadow.marked_granules full <> Shadow.marked_granules inc then
-      out
-        (finding ~rule:"inv-summary"
-           "mark counts diverge: full %d vs incremental %d"
-           (Shadow.marked_granules full)
-           (Shadow.marked_granules inc))
+  (* Both sweep modes mark from the summaries vmem keeps with each page,
+     so replaying them must be indistinguishable from rescanning: the
+     mark set they give right now must equal the ground-truth full mark,
+     granule for granule. Any divergence means an invalidation rule
+     (store/zero/decommit/commit/map) was missed or a frame was written
+     behind vmem's back. *)
+  let full = Instance.reference_full_mark ms in
+  let summed = Instance.reference_summary_mark ms in
+  Shadow.iter_marked full (fun addr ->
+      if not (Shadow.is_marked summed addr) then
+        out
+          (finding ~rule:"inv-summary"
+             "full mark at %#x missing from the summary mark (stale summary \
+              hides a dangling pointer)"
+             addr));
+  Shadow.iter_marked summed (fun addr ->
+      if not (Shadow.is_marked full addr) then
+        out
+          (finding ~rule:"inv-summary"
+             "summary mark at %#x absent from the full mark (summary replays \
+              a dead pointer)"
+             addr));
+  if Shadow.marked_granules full <> Shadow.marked_granules summed then
+    out
+      (finding ~rule:"inv-summary" "mark counts diverge: full %d vs summary %d"
+         (Shadow.marked_granules full)
+         (Shadow.marked_granules summed))
 
 (* ------------------------------------------------------------------ *)
 

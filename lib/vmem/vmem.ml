@@ -14,20 +14,37 @@ let word_size = 8
 let granule = 16
 
 type page = {
+  base : int;
   mutable data : Bytes.t; (* [no_backing] while decommitted *)
   mutable prot : prot;
   mutable soft_dirty : bool;
   mutable write_gen : int; (* scan generation of the last content change *)
+  mutable summary : int array; (* heap-range words, or [stale] *)
 }
+
+type frame = page
 
 (* The frame of every decommitted page: empty, compared physically, so
    "decommitted" is a property of the frame rather than an option. *)
 let no_backing = Bytes.create 0
 
+(* The summary of a page whose heap-range words must be recomputed:
+   compared physically, never handed out. *)
+let stale = Array.make 1 0
+
+let no_words : int array = [||]
+
 (* The page directory's empty slot. Never stored and never mutated:
    every mutator goes through [find_page], which faults on it. *)
 let unmapped =
-  { data = no_backing; prot = No_access; soft_dirty = false; write_gen = 0 }
+  {
+    base = -1;
+    data = no_backing;
+    prot = No_access;
+    soft_dirty = false;
+    write_gen = 0;
+    summary = stale;
+  }
 
 let backed p = p.data != no_backing
 
@@ -95,10 +112,14 @@ let map t ~addr ~len =
   iter_page_indices ~addr ~len (fun i ->
       assert (not (Pagedir.mem t.pages i));
       Pagedir.set t.pages i
-        { data = Bytes.make page_size '\000';
+        {
+          base = i * page_size;
+          data = Bytes.make page_size '\000';
           prot = Read_write;
           soft_dirty = false;
-          write_gen = t.generation };
+          write_gen = t.generation;
+          summary = no_words;
+        };
       t.committed <- t.committed + page_size);
   notify_commit t ~addr ~len
 
@@ -126,6 +147,7 @@ let decommit t ~addr ~len =
       if backed p then begin
         p.data <- no_backing;
         p.write_gen <- t.generation;
+        p.summary <- stale;
         t.committed <- t.committed - page_size
       end)
 
@@ -133,6 +155,7 @@ let commit_page t i p =
   if not (backed p) then begin
     p.data <- Bytes.make page_size '\000';
     p.write_gen <- t.generation;
+    p.summary <- no_words;
     t.committed <- t.committed + page_size;
     notify_commit t ~addr:(i * page_size) ~len:page_size
   end
@@ -146,8 +169,8 @@ let protect t ~addr ~len prot =
   check_page_range addr len;
   iter_page_indices ~addr ~len (fun i ->
       let p = find_page t (i * page_size) in
-      (* Conservative: visibility changes invalidate cached page
-         summaries even though the bytes themselves are untouched. *)
+      (* A visibility change stamps the page, so the simulated sweeper
+         pays to re-read it; the summary stays, the bytes are untouched. *)
       if p.prot <> prot then p.write_gen <- t.generation;
       p.prot <- prot)
 
@@ -178,31 +201,67 @@ let[@inline] frame_word bytes off =
   let w = get64u bytes off in
   Int64.to_int (if Sys.big_endian then swap64 w else w)
 
-let no_words : int array = [||]
+let words_per_page = page_size / word_size
 
-(* Two passes (count, then fill) so the result is sized exactly without
-   a scratch buffer: the function runs on worker domains. The length
-   check up front is what makes the unchecked loads safe. *)
+(* One scratch buffer per domain: [frame_words] runs on worker domains
+   during the Mark stage, and a single pass into a page-sized buffer
+   sizes the result exactly with one allocation. *)
+let scratch = Domain.DLS.new_key (fun () -> Array.make words_per_page 0)
+
+(* The length check up front is what makes the unchecked loads safe.
+   Unrolled by four words (page_size is a multiple of 32): the loop
+   overhead is a visible share of a scan that mostly reads zeros. *)
 let frame_words bytes ~lo ~hi =
   if Bytes.length bytes < page_size then invalid_arg "Vmem.frame_words";
+  let buf = Domain.DLS.get scratch in
   let n = ref 0 in
-  for k = 0 to (page_size / word_size) - 1 do
-    let w = frame_word bytes (k * word_size) in
-    if w >= lo && w < hi then incr n
+  let off = ref 0 in
+  while !off < page_size do
+    let o = !off in
+    let w0 = frame_word bytes o
+    and w1 = frame_word bytes (o + 8)
+    and w2 = frame_word bytes (o + 16)
+    and w3 = frame_word bytes (o + 24) in
+    if w0 >= lo && w0 < hi then begin Array.unsafe_set buf !n w0; incr n end;
+    if w1 >= lo && w1 < hi then begin Array.unsafe_set buf !n w1; incr n end;
+    if w2 >= lo && w2 < hi then begin Array.unsafe_set buf !n w2; incr n end;
+    if w3 >= lo && w3 < hi then begin Array.unsafe_set buf !n w3; incr n end;
+    off := o + 32
   done;
-  if !n = 0 then no_words
+  if !n = 0 then no_words else Array.sub buf 0 !n
+
+let[@inline] heap_word w = w >= Layout.heap_base && w < Layout.heap_limit
+
+(* Rounds a page offset down to its word. *)
+let word_mask = lnot (word_size - 1)
+
+(* ---- Pointer summaries --------------------------------------------- *)
+
+let frame_base p = p.base
+let frame_bytes p = p.data
+let frame_write_gen p = p.write_gen
+let summary p = if p.summary == stale then None else Some p.summary
+
+let scan_summary p =
+  let words =
+    frame_words p.data ~lo:Layout.heap_base ~hi:Layout.heap_limit
+  in
+  let n = Array.length words in
+  if n <= 1 then words
   else begin
-    let words = Array.make !n 0 in
-    let i = ref 0 in
-    for k = 0 to (page_size / word_size) - 1 do
-      let w = frame_word bytes (k * word_size) in
-      if w >= lo && w < hi then begin
-        Array.unsafe_set words !i w;
-        incr i
+    Array.sort (fun (a : int) b -> compare a b) words;
+    (* Dedup the sorted run in place. *)
+    let kept = ref 1 in
+    for i = 1 to n - 1 do
+      if words.(i) <> words.(!kept - 1) then begin
+        words.(!kept) <- words.(i);
+        incr kept
       end
     done;
-    words
+    if !kept = n then words else Array.sub words 0 !kept
   end
+
+let set_summary p words = p.summary <- words
 
 let load t addr =
   assert (addr mod word_size = 0);
@@ -212,7 +271,12 @@ let load t addr =
 let store t addr w =
   assert (addr mod word_size = 0);
   let p = accessible_page t addr ~write:true in
-  Bytes.set_int64_le p.data (addr mod page_size) (Int64.of_int w);
+  let off = addr mod page_size in
+  if
+    p.summary != stale
+    && (heap_word w || heap_word (frame_word p.data off))
+  then p.summary <- stale;
+  Bytes.set_int64_le p.data off (Int64.of_int w);
   p.soft_dirty <- true;
   p.write_gen <- t.generation;
   match t.write_observer with
@@ -228,6 +292,18 @@ let zero_range t ~addr ~len =
       let off = !pos mod page_size in
       let n = min (page_size - off) (finish - !pos) in
       Bytes.fill p.data off n '\000';
+      (* Zeroing removes heap-range words, so it only invalidates a page
+         that had some — except at a ragged edge, where a partly zeroed
+         word can become one. (With today's power-of-two heap bounds only
+         the first word can: the last loses low bytes only. Checking
+         both keeps the rule independent of [Layout].) Two word checks,
+         however long the range. *)
+      if
+        p.summary != stale
+        && (Array.length p.summary > 0
+           || heap_word (frame_word p.data (off land word_mask))
+           || heap_word (frame_word p.data ((off + n - 1) land word_mask)))
+      then p.summary <- stale;
       p.soft_dirty <- true;
       p.write_gen <- t.generation;
       pos := !pos + n
@@ -260,28 +336,24 @@ let iter_committed_words t ~addr ~len f =
     done
   end
 
-let iter_readable_pages_gen t f =
-  Pagedir.iter t.pages (fun i p ->
-      if readable p then f (i * page_size) p.data ~write_gen:p.write_gen)
-
 let iter_readable_pages t f =
-  iter_readable_pages_gen t (fun base bytes ~write_gen:_ -> f base bytes)
+  Pagedir.iter t.pages (fun i p -> if readable p then f (i * page_size) p.data)
 
-(* Zero-copy snapshot for the markers: the live page frames themselves,
+(* Zero-copy snapshot for the markers: the live page records themselves,
    in the directory's ascending page order — the one canonical order
-   every consumer sees. No Bytes are copied — callers must treat the
-   frames as read-only and must not interleave stores, protection
-   changes or unmaps with reads of the snapshot (the marking phase holds
-   that property: nothing mutates the address space while it scans). *)
+   every consumer sees. Callers must treat the frames as read-only and
+   must not interleave stores, protection changes or unmaps with reads
+   of the snapshot (the marking phase holds that property: nothing
+   mutates the address space while it scans). *)
 let snapshot_readable_pages t =
   let n =
     Pagedir.fold t.pages (fun _ p n -> if readable p then n + 1 else n) 0
   in
-  let pages = Array.make n (0, no_backing, 0) in
+  let pages = Array.make n unmapped in
   let k = ref 0 in
-  Pagedir.iter t.pages (fun i p ->
+  Pagedir.iter t.pages (fun _ p ->
       if readable p then begin
-        pages.(!k) <- (i * page_size, p.data, p.write_gen);
+        pages.(!k) <- p;
         incr k
       end);
   pages

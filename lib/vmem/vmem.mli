@@ -132,36 +132,91 @@ val iter_readable_pages : t -> (int -> Bytes.t -> unit) -> unit
     The [bytes] are the live page frame, not a copy — callers must not
     mutate it. *)
 
-val snapshot_readable_pages : t -> (int * Bytes.t * int) array
-(** Zero-copy snapshot of every committed readable page as
-    [(page_base, bytes, write_gen)] triples in ascending base order — the
-    canonical page order of the marking phase, the one every parallel
-    merge reproduces. The order is the page directory's own, so no sort
-    is needed. The [bytes] are the live page frames (no copies, no
-    per-page allocation beyond the array and its triples): callers must
-    treat them as read-only and must not interleave stores, protection
-    changes or unmaps with reads of the snapshot. *)
+(** {1 Frames and pointer summaries}
+
+    Every page carries a {e pointer summary}: the words of its frame that
+    lie in the heap address range [[Layout.heap_base, Layout.heap_limit)],
+    sorted ascending and deduplicated — all a sweep needs from the page.
+    The summary is a host-side cache of the bytes, not part of the
+    simulated machine: whenever it is {e known} it is exact, and it is
+    {e stale} when it must be recomputed. This module keeps it that way
+    at the only places that write frame bytes, in O(1) per page touched:
+
+    - {!map}, {!commit} and demand-commit give the page the empty summary
+      (a fresh frame is all zeros);
+    - {!decommit} makes it stale ({!unmap} drops the page with it);
+    - {!store} makes it stale only when the old or the new word is a
+      heap-range word;
+    - {!zero_range} makes a page with a non-empty summary stale; on a page
+      with an empty one it re-reads just the two boundary words after the
+      fill, since a partly zeroed word can become a heap-range word;
+    - {!protect} leaves it alone: the bytes do not change.
+
+    The sweep fills stale summaries in with {!scan_summary} and
+    {!set_summary}; see {!write_generation} for the separate question of
+    what the {e simulated} sweeper must re-read. *)
+
+type frame
+(** A page as seen by one {!snapshot_readable_pages}: a live handle, not
+    a copy. *)
+
+val snapshot_readable_pages : t -> frame array
+(** Zero-copy snapshot of every committed readable page in ascending
+    base order — the canonical page order of the marking phase, the one
+    every parallel merge reproduces. The order is the page directory's
+    own, so no sort is needed, and the array holds the page records
+    themselves (no per-page allocation). Callers must not interleave
+    stores, protection changes or unmaps with reads of the snapshot. *)
+
+val frame_base : frame -> int
+
+val frame_bytes : frame -> Bytes.t
+(** The live page frame. Read-only: writing it behind this module's back
+    breaks the summary's exactness (the sanitizer's [inv-summary] audit
+    exists to notice exactly that). *)
+
+val frame_write_gen : frame -> int
+(** The page's last-write generation (see {!write_generation}). *)
+
+val summary : frame -> int array option
+(** The page's pointer summary, or [None] when it is stale. The array is
+    shared: do not mutate it. *)
+
+val scan_summary : frame -> int array
+(** Compute the page's summary from its bytes: {!frame_words} over the
+    heap range, sorted and deduplicated. Pure up to a per-domain scratch
+    buffer, so worker domains may run it concurrently on different
+    frames. *)
+
+val set_summary : frame -> int array -> unit
+(** [set_summary f s] records [s = scan_summary f] as [f]'s summary. The
+    caller must not have changed the address space in between; the
+    sweep's merge, on the coordinating domain, is the only caller. *)
 
 val frame_words : Bytes.t -> lo:int -> hi:int -> int array
 (** [frame_words bytes ~lo ~hi] — the words of a page frame handed out
     by this module whose values lie in [[lo, hi)], in address order, as
     a fresh array (the shared empty array when there are none). The
-    sweep's inner loop: words are read without per-word bounds checks
-    (raises [Invalid_argument] if [bytes] is shorter than a page), and
-    no state is shared between calls, so worker domains may run it
-    concurrently on different frames. *)
+    sweep's inner loop: one pass over the frame into a per-domain
+    scratch buffer, with no per-word bounds checks (raises
+    [Invalid_argument] if [bytes] is shorter than a page); worker
+    domains may run it concurrently on different frames. *)
 
 (** {1 Scan generations}
 
-    Support for incremental sweeping: the address space carries a
-    monotonically increasing {e scan generation}, and every page records
-    the generation of its last content change ([store], [zero_range],
-    decommit, (re-)commit, demand-commit, protection change, or fresh
-    mapping). A per-page summary captured while generation [g] was
-    current is still coherent at a later sweep iff the page's
-    [write_gen < g]: nothing has touched the page at or after the
-    capture. Generations never reset, so soft-dirty clearing (used by the
-    stop-the-world re-scan) and summary validity are independent. *)
+    What the {e simulated} incremental sweeper must re-read: the address
+    space carries a monotonically increasing {e scan generation}, and
+    every page records the generation of its last content change
+    ([store], [zero_range], decommit, (re-)commit, demand-commit,
+    protection change, or fresh mapping). A page whose [write_gen] is
+    below the generation of the last incremental sweep is unchanged since
+    that sweep read it, and its summary (which that sweep made known) is
+    replayed at a charge per word; every other page is charged as a
+    rescan. The stamps are deliberately coarser than the summary's own
+    invalidation (a protection change stamps but keeps the summary), so
+    they decide the charge, never the marks. Generations never reset, so
+    soft-dirty clearing (used by the stop-the-world re-scan) and the
+    stamps are independent. *)
 
 val generation : t -> int
 (** The current scan generation. *)
@@ -173,12 +228,6 @@ val advance_generation : t -> int
 val write_generation : t -> int -> int
 (** [write_generation t addr] — generation of the page's last content
     change. The page must be mapped. *)
-
-val iter_readable_pages_gen :
-  t -> (int -> Bytes.t -> write_gen:int -> unit) -> unit
-(** {!iter_readable_pages}, additionally passing each page's last-write
-    generation so callers can decide between a cached summary and a
-    rescan. *)
 
 val readable_bytes : t -> int
 (** Total bytes {!iter_readable_pages} would visit. *)

@@ -67,12 +67,11 @@ let test_deque_concurrent_steal () =
 
 (* --- Sharding and the pool ------------------------------------------ *)
 
-let mk_pages n =
-  Array.init n (fun i ->
-      { Parsweep.base = i * 4096; bytes = Bytes.create 4096; write_gen = 0 })
+(* Pages are their base addresses: the engine never looks inside one. *)
+let mk_pages n = Array.init n (fun i -> i * 4096)
 
 let test_shard_canonical () =
-  let chunks = Parsweep.shard ~chunk_pages:8 (mk_pages 20) in
+  let chunks = Parsweep.shard ~chunk_pages:8 ~page_bytes:4096 (mk_pages 20) in
   Alcotest.(check int) "chunk count" 3 (Array.length chunks);
   Array.iteri
     (fun i c -> Alcotest.(check int) "dense ids" i c.Parsweep.cid)
@@ -83,11 +82,11 @@ let test_shard_canonical () =
   Alcotest.(check int) "last chunk bytes" (4 * 4096)
     chunks.(2).Parsweep.chunk_bytes;
   Alcotest.(check int) "address order preserved" (8 * 4096)
-    chunks.(1).Parsweep.pages.(0).Parsweep.base
+    chunks.(1).Parsweep.pages.(0)
 
 let test_map_chunks_results_and_stats () =
-  let chunks = Parsweep.shard ~chunk_pages:4 (mk_pages 37) in
-  let scan (c : Parsweep.chunk) = c.Parsweep.cid * 10 in
+  let chunks = Parsweep.shard ~chunk_pages:4 ~page_bytes:4096 (mk_pages 37) in
+  let scan (c : int Parsweep.chunk) = c.Parsweep.cid * 10 in
   let expect = Array.map scan chunks in
   List.iter
     (fun domains ->
@@ -282,7 +281,7 @@ let test_reference_marks_agree_parallel () =
   Alcotest.(check (list int))
     "parallel incremental rebuild equals from-scratch full mark"
     (granule_set (I.reference_full_mark ms))
-    (granule_set (I.reference_incremental_mark ms));
+    (granule_set (I.reference_summary_mark ms));
   Alcotest.(check (list string)) "invariant audit clean under 4 domains" []
     (List.map Sanitizer.Diagnostic.to_string (Sanitizer.Invariants.audit ms))
 

@@ -128,6 +128,40 @@ let test_invariants_detect_corruption () =
   Alcotest.(check bool) "shadow corruption detected" true
     (Diagnostic.has_rule "inv-shadow" diags)
 
+let test_invariants_detect_hidden_write () =
+  (* Negative control for the pointer summaries both sweep modes mark
+     from: plant a heap pointer through the frame bytes the vmem snapshot
+     exposes, so vmem never sees the write. The page keeps a known
+     summary that no longer matches its bytes; the audit must say so. *)
+  List.iter
+    (fun (name, config) ->
+      let machine = fresh_machine () in
+      let ms = Minesweeper.Instance.create ~config machine in
+      churn ms 500;
+      Minesweeper.Instance.drain ms;
+      let victim = Minesweeper.Instance.malloc ms 64 in
+      Alcotest.(check (list string)) (name ^ ": audit clean before") []
+        (List.map Diagnostic.to_string (Sanitizer.Invariants.audit ms));
+      Alcotest.(check bool) (name ^ ": victim unmarked before") false
+        (Minesweeper.Shadow.is_marked
+           (Minesweeper.Instance.reference_full_mark ms)
+           victim);
+      let mem = machine.Alloc.Machine.mem in
+      let frame =
+        List.find
+          (fun f -> Vmem.frame_base f = Layout.stack_base)
+          (Array.to_list (Vmem.snapshot_readable_pages mem))
+      in
+      Alcotest.(check bool) (name ^ ": summary known") true
+        (Vmem.summary frame <> None);
+      Bytes.set_int64_le (Vmem.frame_bytes frame) 0 (Int64.of_int victim);
+      Alcotest.(check bool) (name ^ ": hidden write flagged") true
+        (Diagnostic.has_rule "inv-summary" (Sanitizer.Invariants.audit ms)))
+    [
+      ("full scan", Minesweeper.Config.default);
+      ("incremental", Minesweeper.Config.incremental);
+    ]
+
 (* --- Sweep_oracle -------------------------------------------------- *)
 
 let test_oracle_sound_on_default () =
@@ -283,6 +317,8 @@ let suite =
         test_post_sweep_hook_fires;
       Alcotest.test_case "invariants detect corruption" `Quick
         test_invariants_detect_corruption;
+      Alcotest.test_case "invariants detect a hidden frame write" `Quick
+        test_invariants_detect_hidden_write;
       Alcotest.test_case "oracle: default config sound" `Quick
         test_oracle_sound_on_default;
       Alcotest.test_case "oracle: unsound config flagged" `Quick

@@ -69,7 +69,7 @@ let test_reference_marks_agree () =
   Alcotest.(check (list int))
     "incremental rebuild equals from-scratch full mark"
     (granule_set (I.reference_full_mark ms))
-    (granule_set (I.reference_incremental_mark ms))
+    (granule_set (I.reference_summary_mark ms))
 
 let test_reference_marks_agree_after_stores () =
   (* Dirty a clean summarised page between sweeps: the stale summary
@@ -86,7 +86,7 @@ let test_reference_marks_agree_after_stores () =
     blocks;
   Alcotest.(check (list int)) "stores invalidate their summaries"
     (granule_set (I.reference_full_mark ms))
-    (granule_set (I.reference_incremental_mark ms))
+    (granule_set (I.reference_summary_mark ms))
 
 let prop_marks_agree_random =
   QCheck.Test.make ~name:"incremental mark = full mark on random workloads"
@@ -94,7 +94,7 @@ let prop_marks_agree_random =
       let machine, ms = fresh () in
       ignore (run_workload ~ops:6_000 machine ms seed);
       granule_set (I.reference_full_mark ms)
-      = granule_set (I.reference_incremental_mark ms))
+      = granule_set (I.reference_summary_mark ms))
 
 (* --- Decision equivalence ------------------------------------------- *)
 
@@ -202,7 +202,7 @@ let test_audit_detects_stale_summary () =
      weaker, always-true property: the audit equals the reference
      comparison. *)
   let full = granule_set (I.reference_full_mark ms) in
-  let inc = granule_set (I.reference_incremental_mark ms) in
+  let inc = granule_set (I.reference_summary_mark ms) in
   let audit_flags =
     Sanitizer.Diagnostic.has_rule "inv-summary" (Sanitizer.Invariants.audit ms)
   in

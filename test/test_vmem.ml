@@ -154,12 +154,14 @@ let test_write_generations () =
   Alcotest.(check int) "idempotent protect does not stamp" g2
     (Vmem.write_generation m (base + (3 * page)));
   ignore g3;
-  (* The generation-aware page walk exposes the stamps. *)
-  let gens = ref [] in
-  Vmem.iter_readable_pages_gen m (fun p _ ~write_gen ->
-      gens := (p, write_gen) :: !gens);
+  (* The snapshot's frames expose the stamps. *)
+  let gens =
+    Array.map
+      (fun f -> (Vmem.frame_base f, Vmem.frame_write_gen f))
+      (Vmem.snapshot_readable_pages m)
+  in
   Alcotest.(check bool) "walk reports the stamped generation" true
-    (List.assoc base !gens = g)
+    (List.assoc base (Array.to_list gens) = g)
 
 let test_iter_committed_words () =
   let m = fresh () in
@@ -208,7 +210,7 @@ let test_frame_words () =
   Vmem.store m base (base + 64);
   Vmem.store m (base + 8) 7;
   Vmem.store m (base + page - 8) (base + 8);
-  let _, bytes, _ = (Vmem.snapshot_readable_pages m).(0) in
+  let bytes = Vmem.frame_bytes (Vmem.snapshot_readable_pages m).(0) in
   Alcotest.(check (array int)) "in-range words in address order"
     [| base + 64; base + 8 |]
     (Vmem.frame_words bytes ~lo:base ~hi:(base + page));
@@ -496,7 +498,7 @@ let check_against_model m model =
     QCheck.Test.fail_report "mapped_bytes";
   let snapshot =
     Vmem.snapshot_readable_pages m |> Array.to_list
-    |> List.map (fun (b, _, _) -> b)
+    |> List.map Vmem.frame_base
   in
   let rec ascending = function
     | a :: (b :: _ as rest) -> a < b && ascending rest
@@ -517,6 +519,125 @@ let prop_model =
     arb_ops (fun ops ->
       let m = Vmem.create () in
       check_against_model m (List.fold_left (step m) IM.empty ops))
+
+(* Summary exactness: random stores, unaligned zero_range across word
+   and page edges, and every mapping/backing/protection change, on the
+   first pages of the three runs. After every op each readable page's
+   known summary must equal a fresh read of its words; stale ones are
+   then filled in, as the sweep's merge does, so the next op starts from
+   known summaries. Stored values mix heap-range words, small integers
+   and heap-range words with stray high bits, which a partial zeroing of
+   the high bytes turns into heap-range words. *)
+type sop =
+  | S_range of range_op * int * int * int
+  | S_store of int * int * int * int (* run, page, word, value *)
+  | S_zero of int * int * int * int (* run, page, byte offset, length *)
+
+let summary_pages = 4
+
+let show_sop = function
+  | S_range (r, run, pg, n) -> show_op (Range (r, run, pg, n))
+  | S_store (run, pg, w, v) ->
+    Printf.sprintf "store %#x=%#x" (page_addr run pg + (w * 8)) v
+  | S_zero (run, pg, off, len) ->
+    Printf.sprintf "zero %#x+%d" (page_addr run pg + off) len
+
+let gen_sop =
+  let open QCheck.Gen in
+  let* run = int_bound 2 in
+  let* pg = int_bound (summary_pages - 1) in
+  (* Words at both ends of the page, where ranges cross page edges. *)
+  let* w = oneof [ int_bound 7; int_range 504 511 ] in
+  let heap = map (fun k -> Layout.heap_base + (k * 8)) (int_bound 4096) in
+  frequency
+    [
+      ( 2,
+        let* r =
+          oneofl
+            [ Map; Unmap; Commit; Decommit; Protect Vmem.No_access;
+              Protect Vmem.Read_only; Protect Vmem.Read_write ]
+        in
+        let* n = int_range 1 (summary_pages - pg) in
+        return (S_range (r, run, pg, n)) );
+      ( 5,
+        let* v =
+          frequency
+            [
+              (3, heap);
+              (1, int_bound 1000);
+              ( 2,
+                let* h = heap in
+                let* b = int_range 1 0x3f in
+                let* sh = oneofl [ 39; 40; 48; 56 ] in
+                return (h lor (b lsl sh)) );
+            ]
+        in
+        return (S_store (run, pg, w, v)) );
+      ( 4,
+        let* jitter = int_bound 7 in
+        let* len =
+          frequency [ (2, int_range 1 8); (1, int_range 1 (2 * page)) ]
+        in
+        return (S_zero (run, pg, (w * 8) + jitter, len)) );
+    ]
+
+let heap_words_of m base =
+  let acc = ref [] in
+  Vmem.iter_committed_words m ~addr:base ~len:page (fun _ w ->
+      if Layout.in_heap w then acc := w :: !acc);
+  List.sort_uniq compare !acc
+
+let check_summaries m op =
+  Array.iter
+    (fun f ->
+      let want = heap_words_of m (Vmem.frame_base f) in
+      match Vmem.summary f with
+      | Some words ->
+        if Array.to_list words <> want then
+          QCheck.Test.fail_reportf "after %s: summary of %#x is stale"
+            (show_sop op) (Vmem.frame_base f)
+      | None ->
+        let words = Vmem.scan_summary f in
+        if Array.to_list words <> want then
+          QCheck.Test.fail_reportf "scan_summary of %#x wrong" (Vmem.frame_base f);
+        Vmem.set_summary f words)
+    (Vmem.snapshot_readable_pages m)
+
+let apply_sop m = function
+  | S_range (r, run, pg, n) -> (
+    let addr = page_addr run pg and len = n * page in
+    match r with
+    | Map ->
+      if
+        List.for_all
+          (fun i -> not (Vmem.is_mapped m (addr + (i * page))))
+          (List.init n Fun.id)
+      then Vmem.map m ~addr ~len
+    | Unmap -> Vmem.unmap m ~addr ~len
+    | Commit -> Vmem.commit m ~addr ~len
+    | Decommit -> Vmem.decommit m ~addr ~len
+    | Protect p -> Vmem.protect m ~addr ~len p)
+  | S_store (run, pg, w, v) -> Vmem.store m (page_addr run pg + (w * 8)) v
+  | S_zero (run, pg, off, len) ->
+    Vmem.zero_range m ~addr:(page_addr run pg + off) ~len
+
+let prop_summary_exact =
+  QCheck.Test.make ~name:"page summaries stay exact under every mutator"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_sop ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_sop))
+    (fun ops ->
+      let m = Vmem.create () in
+      Array.iter
+        (fun (b, _) -> Vmem.map m ~addr:b ~len:(summary_pages * page))
+        runs;
+      List.iter
+        (fun op ->
+          (try apply_sop m op with Vmem.Fault _ -> ());
+          check_summaries m op)
+        ops;
+      true)
 
 let suite =
   ( "vmem",
@@ -546,5 +667,6 @@ let suite =
         test_committed_bytes_gauge;
       QCheck_alcotest.to_alcotest prop_store_load_roundtrip;
       QCheck_alcotest.to_alcotest prop_model;
+      QCheck_alcotest.to_alcotest prop_summary_exact;
       Alcotest.test_case "frame words" `Quick test_frame_words;
     ] )
